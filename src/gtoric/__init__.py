@@ -11,12 +11,11 @@ from .groupoids import (
     make_sis_groupoid,
     validate_axioms,
 )
-from .lattice import Lattice, MissingSiteError, Site, make_lattice, parse_site
+from .lattice import Lattice, MissingSiteError, Site, parse_site
 from .paulis import (
     OperatorSum,
     PauliParseError,
     PauliString,
-    multiply,
     pauli_from_text,
     pauli_to_text,
     symplectic_phase,

@@ -97,13 +97,14 @@ def validate(model, lattice_spec, n, groupoid_spec, corner_checks, fmt):
         data["terms"] = _sorted_counts(spec)
         sm = stabilizer.StabilizerModel.from_hamiltonian(spec)
         try:
-            sm.check_commuting()
+            sm.analysis()
             data["terms_commute"] = True
         except stabilizer.InvalidModelError as exc:
             data["terms_commute"] = False
             failures.append(str(exc))
-        if not stabilizer.phase_consistent(sm):
-            failures.append("phase-inconsistent stabilizer targets")
+        else:
+            if not stabilizer.phase_consistent(sm):
+                failures.append("phase-inconsistent stabilizer targets")
         # symbolic projector/commutation checks on the expanded terms
         bad = 0
         for t in spec.terms:

@@ -262,7 +262,3 @@ class Lattice:
 
     def __repr__(self):
         return f"Lattice({self.spec!r})"
-
-
-def make_lattice(topology, m, n):
-    return Lattice(topology, m, n)

@@ -1,14 +1,20 @@
 """Exact linear algebra over Z_n: prime-field elimination and integer
 Smith normal form with transform tracking.
 
-Prime moduli get a fast numpy Gaussian elimination; composite moduli go
-through the Smith normal form of the integer matrix, whose elementary
-divisors give subgroup orders and kernel lattices mod n.
+``row_group`` describes the subgroup of Z_n^cols generated by a matrix's
+rows with one decomposition, chosen once by the modulus.  For prime n one
+``row_echelon_mod_p`` gives the order from the pivots, the relations among
+the rows from the transform's last rows, and membership by reducing a vector
+against the echelon rows.  For composite n one ``smith_normal_form`` gives
+the order and the relations from the elementary divisors and the left
+transform, and membership from the right transform mod n.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from dataclasses import dataclass
+from math import gcd, prod
+from typing import Callable
 
 import numpy as np
 
@@ -81,26 +87,6 @@ def nullspace_mod_p(mat, p):
     return left_nullspace_mod_p(np.array(mat, dtype=np.int64).T, p)
 
 
-def solve_left_mod_p(mat, rhs, p):
-    """Find v with ``v @ mat == rhs (mod p)``, or None when unsolvable."""
-    a = np.array(mat, dtype=np.int64) % p
-    b = np.array(rhs, dtype=np.int64) % p
-    # solve mat^T v^T = rhs^T by elimination on the augmented transpose
-    aug = np.concatenate([a.T, b.reshape(-1, 1)], axis=1)
-    ech, pivots, _ = row_echelon_mod_p(aug, p)
-    cols = a.shape[0]
-    v = np.zeros(cols, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        if c == cols:
-            return None  # pivot in the augmented column: inconsistent
-        v[c] = ech[i, cols]
-    return v % p
-
-
-def in_rowspan_mod_p(mat, vec, p):
-    return solve_left_mod_p(mat, vec, p) is not None
-
-
 # -- integer Smith normal form -------------------------------------------------
 
 
@@ -170,53 +156,65 @@ def smith_normal_form(mat):
     return d, u, v
 
 
-def image_order_mod_n(mat, n):
-    """Order of the subgroup of Z_n^cols generated by the rows of mat."""
-    if is_prime(n):
-        return n ** rank_mod_p(mat, n)
-    d, _, _ = smith_normal_form(mat)
-    order = 1
-    for di in d:
-        order *= n // gcd(di, n)
-    return order
+# -- the group generated by the rows of a matrix over Z_n -----------------------
 
 
-def left_kernel_generators_mod_n(mat, n):
-    """Integer generators of {j : j @ mat == 0 (mod n)} as rows.
+@dataclass(frozen=True)
+class RowGroup:
+    """The subgroup of Z_n^cols generated by the rows of a matrix, from one
+    decomposition of that matrix.
 
-    The lattice also contains n*e_i for every i; callers that need those
-    must add them separately (they are included here for completeness).
+    ``factors`` are the orders of the cyclic summands of the group, so their
+    product is its order.  ``relations`` is a ``(k, rows)`` array whose rows
+    generate ``{j : j @ mat == 0 (mod n)}`` mod n.  ``contains(vec)`` tells
+    whether vec is a Z_n-combination of the rows.
     """
+
+    n: int
+    factors: tuple
+    relations: np.ndarray
+    contains: Callable
+
+    @property
+    def order(self):
+        return prod(self.factors)
+
+    @property
+    def rank(self):
+        """Number of Z_n summands, or None when the group is not free over Z_n."""
+        if any(f != self.n for f in self.factors):
+            return None
+        return len(self.factors)
+
+
+def row_group(mat, n):
+    """Decompose mat once: ``row_echelon_mod_p`` for prime n, otherwise
+    ``smith_normal_form`` of the integer matrix."""
     mat = np.array(mat, dtype=np.int64)
-    rows = mat.shape[0]
-    gens = []
+    rows, cols = mat.shape
     if is_prime(n):
-        for v in left_nullspace_mod_p(mat, n):
-            gens.append(np.array(v, dtype=np.int64))
-    else:
-        d, u, _ = smith_normal_form(mat)
-        d = list(d) + [0] * (rows - len(d))
-        for i in range(rows):
-            c = n // gcd(d[i], n)
-            if c % n == 0:
-                continue  # multiple of n e_i, covered below
-            gens.append((c * u[i].astype(object)) % n)
-    for i in range(rows):
-        e = np.zeros(rows, dtype=np.int64)
-        e[i] = n
-        gens.append(e)
-    return [np.array([int(x) for x in g], dtype=np.int64) for g in gens]
+        ech, pivots, t = row_echelon_mod_p(mat, n)
+        r = len(pivots)
+        basis = ech[:r]
 
+        def contains(vec):
+            vec = np.asarray(vec, dtype=np.int64) % n
+            return not np.any((vec - vec[pivots] @ basis) % n)
 
-def in_rowspan_mod_n(mat, vec, n):
-    """Whether vec is an Z_n-combination of the rows of mat."""
-    if is_prime(n):
-        return in_rowspan_mod_p(mat, vec, n)
-    d, _, v = smith_normal_form(mat)
-    cols = np.array(mat).shape[1]
-    d = list(d) + [0] * max(0, cols - len(d))
-    q = (np.array(vec, dtype=object) @ v) % n
-    for i in range(cols):
-        if int(q[i]) % gcd(d[i], n) != 0:
-            return False
-    return True
+        return RowGroup(n, (n,) * r, t[r:] % n, contains)
+    d, u, v = smith_normal_form(mat)
+    d = d + [0] * (max(rows, cols) - len(d))
+    g = [gcd(di, n) for di in d]
+    relations = [(n // g[i]) * u[i] % n for i in range(rows) if g[i] != 1]
+    v_mod = (v % n).astype(np.int64)
+    g_cols = np.array(g[:cols], dtype=np.int64)
+
+    def contains(vec):
+        return not np.any((np.asarray(vec, dtype=np.int64) @ v_mod) % n % g_cols)
+
+    return RowGroup(
+        n,
+        tuple(n // gi for gi in g if gi != n),
+        np.array(relations, dtype=np.int64).reshape(len(relations), rows),
+        contains,
+    )

@@ -65,10 +65,7 @@ def trace_product(terms, lat, n):
     For commuting projector terms this equals the ground-space dimension.
     """
     dim = _check_budget(n, lat.n_sites)
-    acc = None
-    for term in terms:
-        mat = term.sparse_matrix()
-        acc = mat if acc is None else acc @ mat
+    acc = _sparse_product(terms)
     if acc is None:
         return float(dim)
     tr = acc.diagonal().sum()
@@ -77,8 +74,13 @@ def trace_product(terms, lat, n):
     return float(tr.real)
 
 
-def _term_opsums(h):
-    return [t.opsum for t in h.terms]
+def _sparse_product(opsums):
+    """Sparse matrix of the ordered product of OperatorSums (None if empty)."""
+    acc = None
+    for op in opsums:
+        mat = op.sparse_matrix()
+        acc = mat if acc is None else acc @ mat
+    return acc
 
 
 def hamiltonian_sparse(h):
@@ -104,10 +106,7 @@ def ground_space_dimension(h):
             raise AssertionError("eigenvalue below the commuting-projector bound")
         return count
     # spectral projector onto the joint +1 eigenspace of all terms
-    proj = None
-    for t in h.terms:
-        m = t.opsum.sparse_matrix()
-        proj = m if proj is None else proj @ m
+    proj = _sparse_product(t.opsum for t in h.terms)
     tr = proj.diagonal().sum()
     count = int(round(tr.real))
     if abs(tr - count) > 1e-6:

@@ -131,10 +131,6 @@ class PauliString:
         return f"PauliString(n={self.n}, x={self.x.tolist()}, z={self.z.tolist()}, w^{self.phase})"
 
 
-def multiply(p, q):
-    return p * q
-
-
 def symplectic_phase(p, q):
     """Exponent c with ``q p = w_n^c p q``; zero iff p and q commute."""
     p._check_compatible(q)

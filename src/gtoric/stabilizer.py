@@ -1,18 +1,24 @@
 """Exact stabilizer engine over Z_n: ground-space dimension, phase
 consistency, logical operators, syndromes, and string/loop constructions.
 
-A stabilizer model is a list of commuting Pauli-string generators with
-target eigenvalue exponents.  The simultaneous eigenspace dimension is
-``n^sites / |generated exponent group|`` when every kernel relation of the
-exponent matrix multiplies out to the phase demanded by the targets, and
-zero (a frustrated model) otherwise.
+A stabilizer model is a list of commuting Pauli-string generators, each of
+order dividing n, with target eigenvalue exponents.  Everything the engine
+answers about the generated group comes from one analysis per model, built
+on first use and shared with target-flipped copies: a single commutation
+product ``X Z^T - Z X^T == 0 (mod n)`` over the exponent matrix, then one
+decomposition of that matrix (``linalg.row_group``: echelon form for prime
+n, Smith normal form otherwise).  It yields the group order, the relations
+among the generators and a membership test.  The simultaneous eigenspace
+dimension is ``n^sites / |group|`` when every relation multiplies out to the
+phase demanded by the targets, and zero (a frustrated model) otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import linalg
 from .paulis import PauliString, symplectic_phase
@@ -44,6 +50,14 @@ class StabilizerModel:
     term_info: list  # per-term (kind, location)
     lattice: object = None
     model: str = None
+    _analysis: linalg.RowGroup = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # s^n = w^(n*phase + n(n-1) x.z) I, which is I exactly when
+        # phase + (n-1) x.z is even; dropping the n*e_i relations relies on it
+        for i, (s, _) in enumerate(self.generators):
+            if (s.phase + (self.n - 1) * int(s.x @ s.z)) % 2:
+                raise InvalidModelError(f"generator {i} has order larger than n")
 
     @classmethod
     def from_hamiltonian(cls, h):
@@ -75,28 +89,31 @@ class StabilizerModel:
         return np.array(rows, dtype=np.int64)
 
     def check_commuting(self):
-        gens = [s for s, _ in self.generators]
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                if symplectic_phase(gens[i], gens[j]) != 0:
-                    raise InvalidModelError(
-                        f"generators {i} and {j} do not commute"
-                    )
+        """Raise unless ``X Z^T - Z X^T == 0 (mod n)`` for the generators'
+        exponent blocks, i.e. unless every pair commutes."""
+        mat = sp.csr_matrix(self.exponent_matrix())
+        x, z = mat[:, : self.nsites], mat[:, self.nsites :]
+        clash = sp.triu(x @ z.T - z @ x.T, k=1, format="coo")
+        bad = clash.data % self.n != 0
+        if bad.any():
+            i, j = min(zip(clash.row[bad], clash.col[bad]))
+            raise InvalidModelError(f"generators {i} and {j} do not commute")
+
+    def analysis(self):
+        """The generated group (a ``linalg.RowGroup``), computed on first use
+        after the commutation check; the targets do not enter it."""
+        if self._analysis is None:
+            self.check_commuting()
+            self._analysis = linalg.row_group(self.exponent_matrix(), self.n)
+        return self._analysis
 
     def with_flipped_target(self, index, delta=1):
         gens = list(self.generators)
         s, t = gens[index]
         gens[index] = (s, (t + delta) % self.n)
-        return StabilizerModel(
-            self.n,
-            self.nsites,
-            gens,
-            self.provenance,
-            self.term_members,
-            self.term_info,
-            self.lattice,
-            self.model,
-        )
+        flipped = replace(self, generators=gens)
+        flipped._analysis = self.analysis()
+        return flipped
 
 
 def _relation_phase_ok(m, relation):
@@ -118,20 +135,14 @@ def _relation_phase_ok(m, relation):
 
 def phase_consistent(m):
     """Whether every relation among generators is compatible with the targets."""
-    mat = m.exponent_matrix()
-    for rel in linalg.left_kernel_generators_mod_n(mat, m.n):
-        if not _relation_phase_ok(m, rel):
-            return False
-    return True
+    return all(_relation_phase_ok(m, rel) for rel in m.analysis().relations)
 
 
 def gsd(m):
     """Ground-space dimension as an exact integer (0 when frustrated)."""
-    m.check_commuting()
+    order = m.analysis().order
     if not phase_consistent(m):
         return 0
-    mat = m.exponent_matrix()
-    order = linalg.image_order_mod_n(mat, m.n)
     total = m.n**m.nsites
     if total % order:
         raise AssertionError("group order does not divide the space dimension")
@@ -139,14 +150,17 @@ def gsd(m):
 
 
 def logical_qudit_count(m):
-    g = gsd(m)
+    return _qudit_count(gsd(m), m.n)
+
+
+def _qudit_count(g, n):
     if g == 0:
         raise InvalidModelError("frustrated model has no code space")
     k = 0
     while g > 1:
-        if g % m.n:
+        if g % n:
             raise InvalidModelError("ground space is not a qudit power")
-        g //= m.n
+        g //= n
         k += 1
     return k
 
@@ -220,8 +234,7 @@ def syndrome(m, error):
 
 def in_stabilizer_group(m, p):
     """Exponent-level membership of p in the generated group."""
-    vec = np.concatenate([p.x, p.z])
-    return linalg.in_rowspan_mod_n(m.exponent_matrix(), vec, m.n)
+    return m.analysis().contains(np.concatenate([p.x, p.z]))
 
 
 def is_logical(m, p):
@@ -327,24 +340,16 @@ def confinement_profile(m, direction, lengths):
 
 def report(m):
     """Summary dict used by the command-line interface."""
-    mat = m.exponent_matrix()
+    group = m.analysis()
     g = gsd(m)
-    consistent = g != 0
-    order = linalg.image_order_mod_n(mat, m.n)
-    rank = 0
-    o = order
-    while o > 1 and o % m.n == 0:
-        o //= m.n
-        rank += 1
-    k = logical_qudit_count(m) if consistent and g > 0 else 0
     return {
         "n": m.n,
         "sites": m.nsites,
         "generators": len(m.generators),
-        "group_order": order,
-        "rank": rank if o == 1 else None,
-        "relations": (len(m.generators) - rank) if o == 1 else None,
-        "consistency": consistent,
+        "group_order": group.order,
+        "rank": group.rank,
+        "relations": None if group.rank is None else len(group.relations),
+        "consistency": g != 0,
         "gsd": g,
-        "k": k,
+        "k": _qudit_count(g, m.n) if g else 0,
     }

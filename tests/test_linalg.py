@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from gtoric.linalg import (
-    image_order_mod_n,
-    in_rowspan_mod_n,
-    left_kernel_generators_mod_n,
     nullspace_mod_p,
     rank_mod_p,
     row_echelon_mod_p,
+    row_group,
     smith_normal_form,
-    solve_left_mod_p,
 )
 
 
@@ -43,10 +40,9 @@ class TestEchelon:
 
     def test_solve_left(self):
         mat = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int64)
-        sol = solve_left_mod_p(mat, np.array([1, 1, 0], dtype=np.int64), 2)
-        assert sol is not None
-        assert np.array_equal((sol @ mat) % 2, [1, 1, 0])
-        assert solve_left_mod_p(mat, np.array([0, 0, 1], dtype=np.int64), 2) is None
+        group = row_group(mat, 2)
+        assert group.contains(np.array([1, 1, 0], dtype=np.int64))
+        assert not group.contains(np.array([0, 0, 1], dtype=np.int64))
 
 
 class TestSmith:
@@ -74,24 +70,25 @@ class TestSmith:
 class TestModularGroups:
     def test_image_order_prime(self):
         mat = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int64)
-        assert image_order_mod_n(mat, 3) == 9
+        assert row_group(mat, 3).order == 9
 
     def test_image_order_composite(self):
         # single generator (2, 0) over Z_4 has order 2
         mat = np.array([[2, 0]], dtype=np.int64)
-        assert image_order_mod_n(mat, 4) == 2
+        assert row_group(mat, 4).order == 2
         mat2 = np.array([[1, 0], [0, 2]], dtype=np.int64)
-        assert image_order_mod_n(mat2, 4) == 8
+        assert row_group(mat2, 4).order == 8
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_kernel_generators(self, n):
         rng = np.random.default_rng(4)
         mat = rng.integers(0, n, (4, 5)).astype(np.int64)
-        gens = left_kernel_generators_mod_n(mat, n)
+        gens = row_group(mat, n).relations
+        assert gens.shape == (len(gens), mat.shape[0])
         for g in gens:
             assert not np.any((np.array(g) @ mat) % n)
         # the kernel subgroup order times the image order is n^rows
-        assert image_order_mod_n(mat, n) * image_order_mod_n(np.array(gens), n) == n ** mat.shape[0]
+        assert row_group(mat, n).order * row_group(np.array(gens), n).order == n ** mat.shape[0]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_rowspan_membership(self, n):
@@ -99,9 +96,9 @@ class TestModularGroups:
         mat = rng.integers(0, n, (3, 6)).astype(np.int64)
         combo = rng.integers(0, n, 3)
         vec = (combo @ mat) % n
-        assert in_rowspan_mod_n(mat, vec, n)
+        assert row_group(mat, n).contains(vec)
 
     def test_rowspan_rejects(self):
         mat = np.array([[2, 0]], dtype=np.int64)  # spans {(0,0),(2,0)} mod 4
-        assert not in_rowspan_mod_n(mat, np.array([1, 0]), 4)
-        assert in_rowspan_mod_n(mat, np.array([2, 0]), 4)
+        assert not row_group(mat, 4).contains(np.array([1, 0]))
+        assert row_group(mat, 4).contains(np.array([2, 0]))

@@ -1,9 +1,19 @@
 """Stabilizer engine: degeneracy, consistency, logicals, syndromes, strings."""
 
-import pytest
+from types import SimpleNamespace
 
-from gtoric.catalog import build_hamiltonian, global_shift_symmetry, local_mismatch_check
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gtoric.catalog import (
+    build_hamiltonian,
+    cyclic_projector,
+    global_shift_symmetry,
+    local_mismatch_check,
+)
 from gtoric.lattice import Lattice
+from gtoric.oracle import trace_product
 from gtoric.paulis import PauliString, symplectic_phase
 from gtoric.stabilizer import (
     InvalidModelError,
@@ -27,6 +37,24 @@ def model_for(model_id, topology="torus", m=2, n=2):
     return StabilizerModel.from_hamiltonian(
         build_hamiltonian(model_id, Lattice(topology, m, n))
     )
+
+
+def bare_model(n, nsites, generators):
+    """A model with one single-factor term per (string, target) generator."""
+    info = [("term", i) for i in range(len(generators))]
+    return StabilizerModel(
+        n=n,
+        nsites=nsites,
+        generators=generators,
+        provenance=info,
+        term_members=[[i] for i in range(len(generators))],
+        term_info=info,
+    )
+
+
+def first_face_flipped(sm):
+    face_idx = next(i for i, (s, _) in enumerate(sm.generators) if len(s.support()) == 6)
+    return sm.with_flipped_target(face_idx)
 
 
 def vertex_x_loop(lat, x, direction="W"):
@@ -56,6 +84,23 @@ class TestConstruction:
         )
         with pytest.raises(InvalidModelError):
             bad.check_commuting()
+        with pytest.raises(InvalidModelError):
+            gsd(bad)
+
+    @pytest.mark.parametrize(
+        "n, z, phase",
+        [
+            pytest.param(2, 1, 0, id="XZ-n2"),  # (XZ)^2 = -1
+            pytest.param(4, 1, 0, id="XZ-n4"),  # (XZ)^4 = -1
+            pytest.param(3, 0, 1, id="wX-n3"),  # (w X)^3 = w^3 = -1
+        ],
+    )
+    def test_generator_order_checked(self, n, z, phase):
+        s = PauliString(n, [1], [z], phase)
+        with pytest.raises(ValueError):
+            cyclic_projector(s, 0)
+        with pytest.raises(InvalidModelError):
+            bare_model(n, 1, [(s, 0)])
 
     def test_exponent_matrix_shape(self):
         sm = model_for("m1")
@@ -71,12 +116,94 @@ class TestDegeneracy:
     def test_composite_qudit(self):
         assert gsd(model_for("zn:4")) == 4**5
 
-    def test_report_fields(self):
-        rep = report(model_for("m1"))
-        assert rep["gsd"] == 32
-        assert rep["k"] == 5
-        assert rep["rank"] == 11
-        assert rep["consistency"] is True
+    @pytest.mark.parametrize(
+        "build, expect",
+        [
+            pytest.param(
+                lambda: model_for("m1"),
+                dict(n=2, sites=16, generators=12, group_order=2048, rank=11, relations=1,
+                     consistency=True, gsd=32, k=5),
+                id="m1",
+            ),
+            pytest.param(
+                lambda: model_for("zn:3"),
+                dict(n=3, sites=16, generators=12, group_order=177147, rank=11, relations=1,
+                     consistency=True, gsd=243, k=5),
+                id="zn3",
+            ),
+            pytest.param(
+                lambda: model_for("zn:4"),
+                dict(n=4, sites=16, generators=12, group_order=4194304, rank=11, relations=1,
+                     consistency=True, gsd=1024, k=5),
+                id="zn4",
+            ),
+            pytest.param(
+                lambda: model_for("zn:6"),
+                dict(n=6, sites=16, generators=12, group_order=362797056, rank=11, relations=1,
+                     consistency=True, gsd=7776, k=5),
+                id="zn6",
+            ),
+            pytest.param(
+                lambda: model_for("boundary", topology="open"),
+                dict(n=2, sites=24, generators=22, group_order=4194304, rank=22, relations=0,
+                     consistency=True, gsd=4, k=2),
+                id="boundary",
+            ),
+            pytest.param(
+                lambda: first_face_flipped(model_for("m1")),
+                dict(n=2, sites=16, generators=12, group_order=2048, rank=11, relations=1,
+                     consistency=False, gsd=0, k=0),
+                id="m1-frustrated",
+            ),
+        ],
+    )
+    def test_report_fields(self, build, expect):
+        assert report(build()) == expect
+
+
+# at most 1024 amplitudes, so the dense projector product stays small
+MAX_SITES = {2: 10, 3: 6, 4: 5, 6: 3}
+
+
+@st.composite
+def commuting_models(draw, n):
+    """Sparse generators s with s^n = I, kept when they commute with every
+    generator kept before; sometimes one more generator is the product of two
+    kept ones, so a relation ties the targets.  Targets are random."""
+    nsites = draw(st.integers(1, MAX_SITES[n]))
+    exps = st.dictionaries(st.integers(0, nsites - 1), st.integers(1, n - 1), max_size=3)
+    strings = []
+    for _ in range(draw(st.integers(1, 6))):
+        s = PauliString.from_ops(n, nsites, x_at=draw(exps), z_at=draw(exps))
+        # the phase parity that makes s^n = I
+        s = s.with_phase(2 * draw(st.integers(0, n - 1)) + (n - 1) * int(s.x @ s.z))
+        if all(symplectic_phase(s, t) == 0 for t in strings):
+            strings.append(s)
+    if len(strings) > 1 and draw(st.booleans()):
+        a, b = draw(st.lists(st.sampled_from(strings), min_size=2, max_size=2))
+        strings.append(a * b)
+    targets = draw(st.lists(st.integers(0, n - 1), min_size=len(strings), max_size=len(strings)))
+    return bare_model(n, nsites, list(zip(strings, targets)))
+
+
+class TestDenseAgreement:
+    """The stabilizer engine against the exact trace of the projector product."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_commuting_models(self, n, data):
+        sm = data.draw(commuting_models(n))
+        projectors = [cyclic_projector(s, t) for s, t in sm.generators]
+        dense = trace_product(projectors, SimpleNamespace(n_sites=sm.nsites), n)
+        assert abs(dense - gsd(sm)) < 1e-6
+        powers = data.draw(
+            st.lists(st.integers(0, n - 1), min_size=len(sm.generators), max_size=len(sm.generators))
+        )
+        element = PauliString.identity(n, sm.nsites)
+        for (s, _), k in zip(sm.generators, powers):
+            element = element * s**k
+        assert in_stabilizer_group(sm, element)
 
 
 class TestPhaseConsistency:
@@ -84,11 +211,7 @@ class TestPhaseConsistency:
         assert phase_consistent(model_for("m1"))
 
     def test_flipped_face_target_frustrates(self):
-        sm = model_for("m1")
-        face_idx = next(
-            i for i, (s, t) in enumerate(sm.generators) if len(s.support()) == 6
-        )
-        flipped = sm.with_flipped_target(face_idx)
+        flipped = first_face_flipped(model_for("m1"))
         assert not phase_consistent(flipped)
         assert gsd(flipped) == 0
 

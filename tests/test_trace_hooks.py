@@ -1,0 +1,37 @@
+"""The benchmark's tracer wraps package names; they must keep resolving."""
+
+import importlib.util
+from pathlib import Path
+
+from gtoric import stabilizer
+from gtoric.catalog import build_hamiltonian
+from gtoric.lattice import Lattice
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_uninstalls():
+    spans = load_spans()
+    tracer = spans.Tracer()
+    originals = [owner.__dict__.get(attr) for owner, attr, *_ in spans.TARGETS]
+    try:
+        tracer.install()  # KeyError when a traced name was renamed away
+        sm = stabilizer.StabilizerModel.from_hamiltonian(
+            build_hamiltonian("m1", Lattice("torus", 2, 2))
+        )
+        stabilizer.report(sm)
+        stabilizer.is_logical(sm, sm.generators[0][0])
+        stabilizer.gsd(sm.with_flipped_target(0))
+    finally:
+        tracer.uninstall()
+    assert [owner.__dict__.get(attr) for owner, attr, *_ in spans.TARGETS] == originals
+    # one analysis per model: one commutation check and one elimination
+    assert tracer.calls["stabilizer.check_commuting"] == 1
+    assert tracer.calls["linalg.row_echelon_mod_p"] + tracer.calls["linalg.smith_normal_form"] == 1
