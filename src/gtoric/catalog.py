@@ -3,9 +3,9 @@ projector families, and the model Hamiltonians.
 
 Every Hamiltonian here has the shape ``H = -sum_v A_v - sum_f B_f`` where
 each term is a product of cyclic projectors ``(1/n) sum_j w_n^{-t j} S^j``
-for a Pauli string ``S`` and a target eigenvalue exponent ``t``.  The
-``(S, t)`` factor pairs are kept alongside the expanded operator so the
-stabilizer engine can consume the same data exactly.
+for a Pauli string ``S`` and a target eigenvalue exponent ``t``.  A term
+stores only its ``(S, t)`` factor pairs; the stabilizer engine reads them
+directly, and the expanded operator is built from them on first read.
 
 Basis/label conventions (see :mod:`gtoric.paulis`): site levels are labelled
 1..n with ``|0> == |n>`` and ``Z|i> = w_n^i |i>``.  An edge morphism x_ij is
@@ -15,12 +15,13 @@ encoded as the pair (tail digit i, head digit j) on the edge's two sites.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .groupoids import SisGroupoid, ZERO
 from .lattice import Lattice
-from .paulis import OperatorSum, PauliString
+from .paulis import OperatorSum, PauliString, pauli_to_text
 
 MODEL_IDS = ("m1", "m2", "m3exp", "mhoriz", "mvert", "mnondeg", "zn", "boundary")
 
@@ -226,9 +227,8 @@ def face_projector_family(lat, f, n=2):
     mismatched).
     """
     x, y = f
-    matched = OperatorSum.identity(n, lat.n_sites)
-    for corner in ("NW", "NE", "SE"):
-        matched = matched * face_corner_projector(lat, f, corner, 0, n)
+    corners = [(face_corner_string(lat, f, c, n), 0) for c in ("NW", "NE", "SE")]
+    matched = product_of_projectors(corners, n, lat.n_sites)
     n_site = lat.site_index(lat.site(x, y, "N"))
     e_site = lat.site_index(lat.site(x, y, "E"))
     family = {}
@@ -250,12 +250,17 @@ def face_projector_family(lat, f, n=2):
 
 @dataclass
 class Term:
-    """One commuting-projector Hamiltonian term with its stabilizer factors."""
+    """One commuting-projector Hamiltonian term, stored as its stabilizer factors."""
 
     kind: str  # vertex | face | boundary-vertex | corner-vertex
     location: tuple
-    opsum: OperatorSum
     factors: list  # list of (PauliString, target exponent mod n)
+
+    @cached_property
+    def opsum(self):
+        """The expanded OperatorSum, built on first read and kept."""
+        s = self.factors[0][0]
+        return product_of_projectors(self.factors, s.n, s.nsites)
 
 
 @dataclass
@@ -278,8 +283,6 @@ class HamiltonianSpec:
         return [t for t in self.terms if t.kind == "face"]
 
     def to_json_dict(self):
-        from .paulis import pauli_to_text
-
         return {
             "model": self.model,
             "lattice": self.lattice.spec,
@@ -296,10 +299,6 @@ class HamiltonianSpec:
                 for t in self.terms
             ],
         }
-
-
-def _make_term(lat, n, kind, location, factors):
-    return Term(kind, location, product_of_projectors(factors, n, lat.n_sites), list(factors))
 
 
 def _six_site_face_string(lat, f, n, alternating):
@@ -365,7 +364,7 @@ def build_hamiltonian(model, lat, n=2):
             factors = [(x4, 0), (_vertex_z_check(lat, v, n, "NE", (-1, 1)), 0)]
         else:
             raise ValueError(f"unknown model {model!r}")
-        spec.terms.append(_make_term(lat, n, "vertex", v, factors))
+        spec.terms.append(Term("vertex", v, factors))
 
     for f in lat.faces():
         x, y = f
@@ -387,7 +386,7 @@ def build_hamiltonian(model, lat, n=2):
             factors = [(face_corner_string(lat, f, c, n), 0) for c in ("NW", "NE", "SE", "SW")]
         elif model == "zn":
             factors = [(_six_site_face_string(lat, f, n, alternating=True), 0)]
-        spec.terms.append(_make_term(lat, n, "face", f, factors))
+        spec.terms.append(Term("face", f, factors))
 
     return spec
 
@@ -415,10 +414,10 @@ def _build_boundary(lat):
         else:
             factors = [(x_all, 0), (_vertex_z_check(lat, v, n, dirs, (1, 1)), 1)]
             kind = "corner-vertex"
-        spec.terms.append(_make_term(lat, n, kind, v, factors))
+        spec.terms.append(Term(kind, v, factors))
     for f in lat.faces():
         factors = [(_six_site_face_string(lat, f, n, alternating=False), 1)]
-        spec.terms.append(_make_term(lat, n, "face", f, factors))
+        spec.terms.append(Term("face", f, factors))
     return spec
 
 

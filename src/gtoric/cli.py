@@ -18,7 +18,7 @@ import numpy as np
 
 from . import catalog, commutation, groupoids, oracle, stabilizer
 from .lattice import Lattice
-from .paulis import OperatorSum, PauliParseError, pauli_from_text, pauli_to_text
+from .paulis import PauliParseError, pauli_from_text, pauli_to_text
 
 
 def _load_groupoid(spec):
@@ -169,7 +169,7 @@ def gsd(model, lattice_spec, n, method, fmt):
     if method in ("dense", "both"):
         try:
             trace = oracle.trace_product([t.opsum for t in spec.terms], spec.lattice, spec.n)
-        except oracle.BudgetExceededError as exc:
+        except (oracle.BudgetExceededError, oracle.InvalidBudgetError) as exc:
             raise click.UsageError(str(exc))
         data["dense_trace"] = trace
         if method == "both":

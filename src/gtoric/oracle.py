@@ -4,11 +4,11 @@ Realizes operators as (sparse) matrices in the computational basis, checks
 projector and commutation claims numerically, computes ground-space
 dimensions, builds ground states, and measures per-term expectations.
 
-The memory budget caps the number of basis amplitudes (environment variable
-``GTORIC_BUDGET`` overrides the default of 2**24).  Full dense eigensolves
-are only attempted below ``DENSE_EIG_DIM``; above that the ground-space
-dimension comes from the trace of the product of term projectors, verified
-to be an exact projector onto the lowest eigenspace.
+The memory budget caps basis amplitudes and sparse matrix nonzeros (the
+environment variable ``GTORIC_BUDGET`` overrides the default of 2**24).  Full
+dense eigensolves are only attempted below ``DENSE_EIG_DIM``; above that the
+ground-space dimension comes from the trace of the product of term
+projectors, verified to be an exact projector onto the lowest eigenspace.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 DEFAULT_BUDGET = 2**24
 DENSE_EIG_DIM = 4096
@@ -28,6 +27,10 @@ class BudgetExceededError(MemoryError):
     pass
 
 
+class InvalidBudgetError(ValueError):
+    pass
+
+
 class SeedViolatesFaceTermError(ValueError):
     def __init__(self, faces):
         super().__init__(f"seed configuration violates face terms at {faces}")
@@ -35,7 +38,10 @@ class SeedViolatesFaceTermError(ValueError):
 
 
 def budget():
-    return int(os.environ.get("GTORIC_BUDGET", DEFAULT_BUDGET))
+    text = os.environ.get("GTORIC_BUDGET", str(DEFAULT_BUDGET))
+    if not text.strip().isdecimal():
+        raise InvalidBudgetError(f"GTORIC_BUDGET must be a non-negative integer, not {text!r}")
+    return int(text)
 
 
 def _check_budget(n, nsites):
@@ -45,6 +51,11 @@ def _check_budget(n, nsites):
             f"dimension {n}^{nsites} exceeds the amplitude budget {budget()}"
         )
     return dim
+
+
+def _check_nonzeros(count):
+    if count > budget():
+        raise BudgetExceededError(f"up to {count} sparse nonzeros exceed the budget {budget()}")
 
 
 @dataclass
@@ -78,18 +89,17 @@ def _sparse_product(opsums):
     """Sparse matrix of the ordered product of OperatorSums (None if empty)."""
     acc = None
     for op in opsums:
+        # each Pauli term of op puts at most one nonzero in a column
+        _check_nonzeros((op.n**op.nsites if acc is None else acc.nnz) * len(op.terms))
         mat = op.sparse_matrix()
         acc = mat if acc is None else acc @ mat
     return acc
 
 
 def hamiltonian_sparse(h):
-    _check_budget(h.n, h.lattice.n_sites)
-    acc = None
-    for t in h.terms:
-        m = t.opsum.sparse_matrix()
-        acc = -m if acc is None else acc - m
-    return acc
+    dim = _check_budget(h.n, h.lattice.n_sites)
+    _check_nonzeros(dim * min(dim, sum(len(t.opsum.terms) for t in h.terms)))
+    return -sum(t.opsum.sparse_matrix() for t in h.terms)
 
 
 def ground_space_dimension(h):

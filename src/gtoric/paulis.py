@@ -300,11 +300,6 @@ class OperatorSum:
                 total += c * p.phase_factor() * dim
         return total
 
-    def dagger(self):
-        return OperatorSum(
-            [(np.conj(c), p.inverse()) for c, p in self.terms], self.n, self.nsites
-        )
-
     def __repr__(self):
         return f"OperatorSum({len(self.terms)} terms, n={self.n}, sites={self.nsites})"
 

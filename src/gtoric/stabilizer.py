@@ -16,6 +16,7 @@ phase demanded by the targets, and zero (a frustrated model) otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,7 +46,6 @@ class StabilizerModel:
     n: int
     nsites: int
     generators: list  # list of (PauliString, target exponent mod n)
-    provenance: list  # per-generator (term kind, location)
     term_members: list  # per-term list of generator indices
     term_info: list  # per-term (kind, location)
     lattice: object = None
@@ -61,22 +61,16 @@ class StabilizerModel:
 
     @classmethod
     def from_hamiltonian(cls, h):
-        gens, prov, members, info = [], [], [], []
+        gens, members = [], []
         for t in h.terms:
-            idxs = []
-            for s, tgt in t.factors:
-                idxs.append(len(gens))
-                gens.append((s, tgt % h.n))
-                prov.append((t.kind, t.location))
-            members.append(idxs)
-            info.append((t.kind, t.location))
+            members.append(list(range(len(gens), len(gens) + len(t.factors))))
+            gens.extend((s, tgt % h.n) for s, tgt in t.factors)
         return cls(
             n=h.n,
             nsites=h.lattice.n_sites,
             generators=gens,
-            provenance=prov,
             term_members=members,
-            term_info=info,
+            term_info=[(t.kind, t.location) for t in h.terms],
             lattice=h.lattice,
             model=h.model,
         )
@@ -88,12 +82,18 @@ class StabilizerModel:
             rows.append(np.concatenate([s.x, s.z]))
         return np.array(rows, dtype=np.int64)
 
+    @cached_property
+    def exponent_blocks(self):
+        """Sparse X and Z exponent blocks and ``X Z^T`` ([i, j] = x_i.z_j)."""
+        mat = sp.csr_matrix(self.exponent_matrix())
+        x, z = mat[:, : self.nsites], mat[:, self.nsites :]
+        return x, z, (x @ z.T).tocsr()
+
     def check_commuting(self):
         """Raise unless ``X Z^T - Z X^T == 0 (mod n)`` for the generators'
         exponent blocks, i.e. unless every pair commutes."""
-        mat = sp.csr_matrix(self.exponent_matrix())
-        x, z = mat[:, : self.nsites], mat[:, self.nsites :]
-        clash = sp.triu(x @ z.T - z @ x.T, k=1, format="coo")
+        xz = self.exponent_blocks[2]
+        clash = sp.triu(xz - xz.T, k=1, format="coo")
         bad = clash.data % self.n != 0
         if bad.any():
             i, j = min(zip(clash.row[bad], clash.col[bad]))
@@ -113,29 +113,24 @@ class StabilizerModel:
         gens[index] = (s, (t + delta) % self.n)
         flipped = replace(self, generators=gens)
         flipped._analysis = self.analysis()
+        flipped.exponent_blocks = self.exponent_blocks
         return flipped
 
 
-def _relation_phase_ok(m, relation):
-    """Multiply out a kernel relation and compare against the target phases."""
-    n = m.n
-    acc = PauliString.identity(n, m.nsites)
-    tsum = 0
-    for i, r in enumerate(relation):
-        r = int(r) % n
-        if r == 0:
-            continue
-        s, t = m.generators[i]
-        acc = acc * (s**r)
-        tsum += r * t
-    if acc.x.any() or acc.z.any():
-        raise AssertionError("relation vector is not actually a relation")
-    return acc.phase % (2 * n) == (2 * tsum) % (2 * n)
-
-
 def phase_consistent(m):
-    """Whether every relation among generators is compatible with the targets."""
-    return all(_relation_phase_ok(m, rel) for rel in m.analysis().relations)
+    """Whether every relation among generators is compatible with the targets:
+    for ``s_i = w^{p_i} X^{x_i} Z^{z_i}``, ``prod_i s_i^{r_i}`` has phase
+    ``sum r_i p_i + sum r_i (r_i - 1) x_i.z_i + 2 sum_{i<j} r_i r_j x_j.z_i``
+    (mod 2n), and the targets demand ``2 sum r_i t_i``."""
+    n = m.n
+    rel = m.analysis().relations % n
+    x, z, xz = m.exponent_blocks
+    if ((rel @ x) % n).any() or ((rel @ z) % n).any():
+        raise AssertionError("relation vector is not actually a relation")
+    phases, targets = np.array([(s.phase, t) for s, t in m.generators], dtype=np.int64).T
+    cross = ((sp.tril(xz, k=-1) @ rel.T).T * rel).sum(axis=1)  # sum_{i<j} r_i r_j x_j.z_i
+    phase = rel @ (phases - 2 * targets) + (rel * (rel - 1)) @ xz.diagonal() + 2 * cross
+    return not (phase % (2 * n)).any()
 
 
 def gsd(m):
@@ -247,7 +242,7 @@ def is_logical(m, p):
 
 def logically_equivalent(m, p, q):
     """Whether two undetectable strings differ by a stabilizer element."""
-    diff = p * q.inverse()
+    diff = PauliString(m.n, p.x - q.x, p.z - q.z)  # p q^-1 up to phase
     if any(syndrome(m, diff).flips):
         return False
     return in_stabilizer_group(m, diff)

@@ -83,6 +83,25 @@ class TestGsd:
         assert data["consistency"] is True
         assert data["terms"] == {"face": 4, "vertex": 4}
 
+    def test_sparse_product_over_budget(self, runner):
+        # 2^24 amplitudes fit the default budget; the projector product's
+        # fill-in does not, and is refused before it is formed
+        res = runner.invoke(
+            main, ["gsd", "--model", "boundary", "--lattice", "open:2x2", "--method", "both"]
+        )
+        assert res.exit_code == 2
+        assert "budget" in res.output
+
+    @pytest.mark.parametrize("command", [
+        pytest.param(["gsd", "--model", "m1", "--method", "dense"], id="gsd"),
+        pytest.param(["excite", "--model", "m1", "--lattice", "torus:2x2", "--op", "Z@(1,1).E",
+                      "--seed-config", "all=1 E=2 W=2"], id="excite"),
+    ])
+    def test_malformed_budget(self, runner, command):
+        res = runner.invoke(main, command, env={"GTORIC_BUDGET": "lots"})
+        assert res.exit_code == 2
+        assert "GTORIC_BUDGET" in res.output
+
 
 class TestExcite:
     def test_single_error_energy(self, runner):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtoric import catalog
 from gtoric.catalog import (
     build_hamiltonian,
     cyclic_projector,
@@ -14,7 +15,7 @@ from gtoric.catalog import (
 )
 from gtoric.lattice import Lattice
 from gtoric.oracle import trace_product
-from gtoric.paulis import PauliString, symplectic_phase
+from gtoric.paulis import OperatorSum, PauliString, symplectic_phase
 from gtoric.stabilizer import (
     InvalidModelError,
     InvalidPathError,
@@ -46,7 +47,6 @@ def bare_model(n, nsites, generators):
         n=n,
         nsites=nsites,
         generators=generators,
-        provenance=info,
         term_members=[[i] for i in range(len(generators))],
         term_info=info,
     )
@@ -77,7 +77,6 @@ class TestConstruction:
             n=2,
             nsites=lat.n_sites,
             generators=gens + [(clash, 0)],
-            provenance=sm.provenance + [("vertex", (0, 0))],
             term_members=sm.term_members + [[len(gens)]],
             term_info=sm.term_info + [("vertex", (0, 0))],
             lattice=lat,
@@ -214,6 +213,51 @@ class TestPhaseConsistency:
         flipped = first_face_flipped(model_for("m1"))
         assert not phase_consistent(flipped)
         assert gsd(flipped) == 0
+
+
+class TestNoOperatorAlgebra:
+    """Stabilizer answers read the terms' (string, target) factors only."""
+
+    @pytest.fixture()
+    def no_products(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("operator product formed on the stabilizer path")
+
+        monkeypatch.setattr(catalog, "product_of_projectors", refuse)
+        monkeypatch.setattr(OperatorSum, "__mul__", refuse)
+        monkeypatch.setattr(PauliString, "__mul__", refuse)
+
+    @pytest.mark.parametrize(
+        "model, size",
+        [pytest.param("m1", 4, id="m1"), pytest.param("zn:3", 3, id="zn3"),
+         pytest.param("zn:4", 3, id="zn4")],
+    )
+    def test_answers_from_factors(self, no_products, model, size):
+        lat = Lattice("torus", size, size)
+        sm = StabilizerModel.from_hamiltonian(build_hamiltonian(model, lat))
+        assert report(sm)["consistency"]
+        error = PauliString.from_ops(sm.n, sm.nsites, x_at={0: 1})
+        assert syndrome(sm, error).energy > 0
+        assert is_logical(sm, error) == "detectable"
+        assert is_logical(sm, sm.generators[0][0]) == "stabilizer"
+        assert logically_equivalent(sm, sm.generators[0][0], sm.generators[1][0])
+        flipped = [gsd(sm.with_flipped_target(i)) for i in range(len(sm.generators))]
+        assert 0 in flipped
+
+    def test_opsum_expanded_once(self, monkeypatch):
+        calls = []
+        expand = catalog.product_of_projectors
+
+        def counting(*args):
+            calls.append(args)
+            return expand(*args)
+
+        monkeypatch.setattr(catalog, "product_of_projectors", counting)
+        term = build_hamiltonian("m1", Lattice("torus", 2, 2)).terms[0]
+        assert not calls
+        assert term.opsum is term.opsum
+        assert len(calls) == 1
+        assert (term.opsum * term.opsum).approx_equal(term.opsum)
 
 
 class TestLogicalStructure:
