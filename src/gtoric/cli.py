@@ -22,13 +22,17 @@ from .paulis import PauliParseError, pauli_from_text, pauli_to_text
 
 
 def _load_groupoid(spec):
-    if spec == "isotropy-z2":
-        return groupoids.make_isotropy_z2_groupoid()
-    if spec.startswith("sis:"):
-        return groupoids.make_sis_groupoid(int(spec.split(":", 1)[1]))
-    if spec.startswith("file:"):
-        with open(spec.split(":", 1)[1]) as fh:
-            return groupoids.Groupoid.from_json(fh.read())
+    kind, _, arg = spec.partition(":")
+    try:
+        if spec == "isotropy-z2":
+            return groupoids.make_isotropy_z2_groupoid()
+        if kind == "sis":
+            return groupoids.make_sis_groupoid(int(arg))
+        if kind == "file":
+            with open(arg) as fh:
+                return groupoids.Groupoid.from_json(fh.read())
+    except (OSError, ValueError) as exc:
+        raise click.UsageError(f"bad groupoid spec {spec!r}: {exc}")
     raise click.UsageError(f"unknown groupoid spec {spec!r}")
 
 

@@ -125,6 +125,10 @@ class Groupoid:
 
     @classmethod
     def from_json_dict(cls, data):
+        keys = ("n_objects", "morphisms", "composition")
+        missing = [k for k in keys if k not in data] if isinstance(data, dict) else keys
+        if missing:
+            raise ValueError(f"groupoid JSON lacks {', '.join(missing)}")
         morphisms = [
             (m["source"], m["target"], m["inverse"], m["label"]) for m in data["morphisms"]
         ]

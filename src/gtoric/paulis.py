@@ -20,6 +20,8 @@ import re
 import numpy as np
 import scipy.sparse as sp
 
+from .oracle import _check_budget, _check_nonzeros
+
 
 class PauliString:
     """Immutable clock/shift string on a fixed number of sites."""
@@ -140,40 +142,39 @@ def symplectic_phase(p, q):
 # -- dense / sparse realization and state application ------------------------
 
 
-def _digit_table(n, nsites):
-    """Array D of shape (nsites, n^nsites): D[s, i] = digit of site s in basis
-    state i (digit d in 0..n-1 stands for level label d+1)."""
-    dim = n**nsites
-    idx = np.arange(dim)
-    table = np.empty((nsites, dim), dtype=np.int64)
-    for s in range(nsites):
-        table[s] = (idx // n ** (nsites - 1 - s)) % n
+def _digit_table(n, nsites, sites):
+    """Array D of shape (len(sites), n^nsites): D[k, i] = digit of site
+    ``sites[k]`` in basis state i (digit d in 0..n-1 stands for level label
+    d+1)."""
+    table = np.empty((len(sites), n**nsites), dtype=np.int64)
+    for row, s in zip(table, sites):
+        # in base n, a basis index is (higher digits, digit of s, lower digits)
+        row.reshape(n**s, n, -1)[...] = np.arange(n)[:, None]
     return table
 
 
 def pauli_permutation(p):
     """(row_indices, diagonal_values) realizing the string as a generalized
-    permutation matrix: ``M[rows[i], i] = diag[i]``."""
+    permutation matrix: ``M[rows[i], i] = diag[i]``.  Only the digits of the
+    supported sites are computed."""
     n, nsites = p.n, p.nsites
-    dim = n**nsites
-    digits = _digit_table(n, nsites)
-    # Z part acts first: phase w_n^{sum_s b_s (digit_s + 1)}
-    zexp = (p.z @ (digits + 1)) % n
-    diag = np.exp(2j * np.pi * zexp / n) * p.phase_factor()
-    # X part shifts digits
-    rows = np.zeros(dim, dtype=np.int64)
-    for s in range(nsites):
-        rows += ((digits[s] + p.x[s]) % n) * n ** (nsites - 1 - s)
-    return rows, diag
-
-
-def pauli_sparse(p):
-    dim = p.n**p.nsites
-    rows, diag = pauli_permutation(p)
-    return sp.csr_matrix((diag, (rows, np.arange(dim))), shape=(dim, dim))
+    sites = np.flatnonzero(p.x | p.z)
+    levels = np.arange(n)
+    rows = np.arange(n**nsites)
+    # Z part acts first: phase w_n^{sum_s b_s (digit_s + 1)}, as levels run 1..n
+    zexp = np.full(len(rows), p.z.sum())
+    for s, digits in zip(sites, _digit_table(n, nsites, sites)):
+        a, b = p.x[s], p.z[s]
+        if a:  # X part shifts the digit: d -> d + a (mod n)
+            rows += (((levels + a) % n - levels) * n ** (nsites - 1 - s))[digits]
+        if b:
+            zexp += (b * levels)[digits]
+    roots = np.exp(2j * np.pi * levels / n) * p.phase_factor()
+    return rows, roots[zexp % n]
 
 
 def apply_pauli(p, vec):
+    _check_budget(p.n, p.nsites)
     rows, diag = pauli_permutation(p)
     out = np.zeros(len(vec), dtype=complex)
     out[rows] = diag * np.asarray(vec, dtype=complex)
@@ -277,11 +278,27 @@ class OperatorSum:
         return OperatorSum(out, self.n, len(sites))
 
     def sparse_matrix(self):
+        """CSR matrix of the sum, built in one pass.  A Pauli term puts one
+        entry in each column, at a row fixed by its X exponents alone, so the
+        terms that share X exponents are summed, in term order, into one
+        entry per column; those entries are stacked column by column as CSC
+        arrays."""
         dim = self.n**self.nsites
-        acc = sp.csr_matrix((dim, dim), dtype=complex)
+        _check_nonzeros(dim * len(self.terms))
+        by_x = {}
         for c, p in self.terms:
-            acc = acc + c * pauli_sparse(p)
-        return acc
+            rows, diag = pauli_permutation(p)
+            key = p.x.tobytes()
+            if key in by_x:
+                by_x[key][1] += c * diag
+            else:
+                by_x[key] = [rows, c * diag]
+        if not by_x:
+            return sp.csr_matrix((dim, dim), dtype=complex)
+        rows, vals = (np.stack(arrays, axis=1).ravel() for arrays in zip(*by_x.values()))
+        mat = sp.csc_matrix((vals, rows, np.arange(dim + 1) * len(by_x)), shape=(dim, dim))
+        mat.eliminate_zeros()
+        return mat.tocsr()
 
     def dense_matrix(self, max_entries=2**26):
         dim = self.n**self.nsites

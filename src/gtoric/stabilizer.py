@@ -84,15 +84,16 @@ class StabilizerModel:
 
     @cached_property
     def exponent_blocks(self):
-        """Sparse X and Z exponent blocks and ``X Z^T`` ([i, j] = x_i.z_j)."""
+        """The sparse exponent matrix, its X and Z blocks and ``X Z^T``
+        ([i, j] = x_i.z_j)."""
         mat = sp.csr_matrix(self.exponent_matrix())
         x, z = mat[:, : self.nsites], mat[:, self.nsites :]
-        return x, z, (x @ z.T).tocsr()
+        return mat, x, z, (x @ z.T).tocsr()
 
     def check_commuting(self):
         """Raise unless ``X Z^T - Z X^T == 0 (mod n)`` for the generators'
         exponent blocks, i.e. unless every pair commutes."""
-        xz = self.exponent_blocks[2]
+        xz = self.exponent_blocks[3]
         clash = sp.triu(xz - xz.T, k=1, format="coo")
         bad = clash.data % self.n != 0
         if bad.any():
@@ -104,7 +105,7 @@ class StabilizerModel:
         after the commutation check; the targets do not enter it."""
         if self._analysis is None:
             self.check_commuting()
-            self._analysis = linalg.row_group(self.exponent_matrix(), self.n)
+            self._analysis = linalg.row_group(self.exponent_blocks[0].toarray(), self.n)
         return self._analysis
 
     def with_flipped_target(self, index, delta=1):
@@ -124,7 +125,7 @@ def phase_consistent(m):
     (mod 2n), and the targets demand ``2 sum r_i t_i``."""
     n = m.n
     rel = m.analysis().relations % n
-    x, z, xz = m.exponent_blocks
+    _, x, z, xz = m.exponent_blocks
     if ((rel @ x) % n).any() or ((rel @ z) % n).any():
         raise AssertionError("relation vector is not actually a relation")
     phases, targets = np.array([(s.phase, t) for s, t in m.generators], dtype=np.int64).T

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from gtoric.cli import main
+from gtoric.groupoids import make_sis_groupoid
 
 
 @pytest.fixture()
@@ -51,6 +52,35 @@ class TestValidate:
         res = runner.invoke(main, ["validate", "--model", "nope"])
         assert res.exit_code != 0
 
+
+    @pytest.mark.parametrize("content, message", [
+        pytest.param(None, "No such file", id="missing-file"),
+        pytest.param("{not json", "Expecting", id="invalid-json"),
+        pytest.param('{"morphisms": [], "composition": []}', "n_objects", id="no-n-objects"),
+        pytest.param('{"n_objects": 1, "composition": []}', "morphisms", id="no-morphisms"),
+        pytest.param('{"n_objects": 1, "morphisms": []}', "composition", id="no-composition"),
+    ])
+    def test_malformed_groupoid_file(self, runner, tmp_path, content, message):
+        path = tmp_path / "groupoid.json"
+        if content is not None:
+            path.write_text(content)
+        res = runner.invoke(main, ["validate", "--groupoid", f"file:{path}"])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)  # a usage error, not a traceback
+        assert message in res.output
+
+    def test_malformed_sis_order(self, runner):
+        res = runner.invoke(main, ["validate", "--groupoid", "sis:abc"])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "sis:abc" in res.output
+
+    def test_groupoid_file_round_trip(self, runner, tmp_path):
+        path = tmp_path / "groupoid.json"
+        path.write_text(make_sis_groupoid(2).to_json())
+        res = runner.invoke(main, ["validate", "--groupoid", f"file:{path}"])
+        assert res.exit_code == 0
+        assert "axioms: pass" in res.output
 
 class TestGsd:
     def test_m1_4x4(self, runner):

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtoric.lattice import Lattice
+from gtoric.oracle import BudgetExceededError
 from gtoric.paulis import (
     OperatorSum,
     PauliParseError,
     PauliString,
+    apply_pauli,
     pauli_from_text,
     pauli_to_text,
     symplectic_phase,
@@ -161,6 +163,95 @@ class TestOperatorSum:
         assert np.allclose(
             small.dense_matrix(), np.kron(np.diag([-1, 1]), np.diag([-1, 1]))
         )
+
+
+def kron_reference(p):
+    """Dense matrix of p built site by site: the Kronecker product of
+    ``X^a Z^b`` over the sites (site 0 leftmost) times ``w^phase``."""
+    n = p.n
+    shift = np.roll(np.eye(n), 1, axis=0)  # |d> -> |d+1 mod n>
+    clock = np.diag(np.exp(2j * np.pi * np.arange(1, n + 1) / n))  # levels 1..n
+    mat = np.ones((1, 1))
+    for a, b in zip(p.x, p.z):
+        site = np.linalg.matrix_power(shift, int(a)) @ np.linalg.matrix_power(clock, int(b))
+        mat = np.kron(mat, site)
+    return np.exp(1j * np.pi * p.phase / n) * mat
+
+
+qudit_sums = st.sampled_from([2, 3, 4, 6]).flatmap(
+    lambda n: st.integers(1, 4).flatmap(
+        lambda nsites: st.lists(
+            st.tuples(
+                st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False),
+                st.composite(lambda draw: random_pauli(draw, n, nsites))(),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+)
+
+
+class TestRealization:
+    """The support-only realization against a site-by-site construction."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(qudit_sums)
+    def test_matrix_is_kronecker_product(self, terms):
+        for _, p in terms:
+            assert np.allclose(to_matrix(p), kron_reference(p), atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(qudit_sums, st.integers(0, 2**32 - 1))
+    def test_apply_matches_dense(self, terms, seed):
+        s = OperatorSum(terms)
+        rng = np.random.default_rng(seed)
+        dim = s.n**s.nsites
+        vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        expected = sum(c * kron_reference(p) for c, p in terms)
+        assert np.allclose(s.dense_matrix(), expected, atol=1e-10)
+        assert np.allclose(s.apply(vec), s.dense_matrix() @ vec, atol=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(qudit_sums)
+    def test_cancelled_entries_not_stored(self, terms):
+        (_, p), (_, q) = terms[0], terms[-1]
+        n = p.n
+        sums = [OperatorSum.from_pauli(p) - OperatorSum.from_pauli(p) + OperatorSum.from_pauli(q)]
+        # I - Z^b is exactly zero on the columns where Z^b has eigenvalue 1
+        z_only = PauliString(n, np.zeros(p.nsites, dtype=np.int64), p.z)
+        sums.append(OperatorSum([(1.0, PauliString.identity(n, p.nsites)), (-1.0, z_only)]))
+        for s in sums:
+            mat = s.sparse_matrix()
+            assert mat.nnz == np.count_nonzero(mat.data)
+            assert np.allclose(mat.toarray(), sum(c * kron_reference(r) for c, r in s.terms))
+
+    def test_empty_sum(self):
+        s = OperatorSum([], n=3, nsites=2)
+        assert s.sparse_matrix().shape == (9, 9)
+        assert s.sparse_matrix().nnz == 0
+
+
+class TestBudget:
+    def test_sparse_matrix_refused_before_allocation(self, monkeypatch):
+        p = PauliString.from_ops(2, 3, x_at={0: 1})
+        s = OperatorSum([(1.0, p), (1.0, PauliString.identity(2, 3))])  # 2 terms x 8
+        monkeypatch.setenv("GTORIC_BUDGET", "16")
+        assert s.sparse_matrix().nnz == 16
+        monkeypatch.setenv("GTORIC_BUDGET", "15")
+        with pytest.raises(BudgetExceededError):
+            s.sparse_matrix()
+
+    def test_apply_pauli_refused(self, monkeypatch):
+        p = PauliString.from_ops(2, 3, x_at={0: 1})
+        vec = np.ones(8)
+        monkeypatch.setenv("GTORIC_BUDGET", "8")
+        assert np.allclose(apply_pauli(p, vec), vec)
+        monkeypatch.setenv("GTORIC_BUDGET", "7")
+        with pytest.raises(BudgetExceededError):
+            apply_pauli(p, vec)
+        with pytest.raises(BudgetExceededError):
+            OperatorSum.from_pauli(p).apply(vec)
 
 
 class TestTextFormat:

@@ -35,3 +35,16 @@ def test_tracer_installs_and_uninstalls():
     # one analysis per model: one commutation check and one elimination
     assert tracer.calls["stabilizer.check_commuting"] == 1
     assert tracer.calls["linalg.row_echelon_mod_p"] + tracer.calls["linalg.smith_normal_form"] == 1
+
+
+def test_one_exponent_matrix_per_report():
+    spans = load_spans()
+    tracer = spans.Tracer()
+    sm = stabilizer.StabilizerModel.from_hamiltonian(build_hamiltonian("m1", Lattice("torus", 3, 3)))
+    try:
+        tracer.install()
+        stabilizer.report(sm)
+    finally:
+        tracer.uninstall()
+    # the analysis decomposes the matrix the sparse exponent blocks came from
+    assert tracer.calls["stabilizer.exponent_matrix"] == 1
