@@ -157,10 +157,11 @@ def cyclic_projector(s, target):
 
 
 def product_of_projectors(factors, n, nsites):
-    acc = OperatorSum.identity(n, nsites)
+    acc = None
     for s, t in factors:
-        acc = acc * cyclic_projector(s, t)
-    return acc
+        proj = cyclic_projector(s, t)
+        acc = proj if acc is None else acc * proj
+    return OperatorSum.identity(n, nsites) if acc is None else acc
 
 
 # -- projector families --------------------------------------------------------

@@ -90,7 +90,7 @@ def _sparse_product(opsums):
     acc = None
     for op in opsums:
         # each Pauli term of op puts at most one nonzero in a column
-        _check_nonzeros((op.n**op.nsites if acc is None else acc.nnz) * len(op.terms))
+        _check_nonzeros((op.n**op.nsites if acc is None else acc.nnz) * len(op.coeffs))
         mat = op.sparse_matrix()
         acc = mat if acc is None else acc @ mat
     return acc
@@ -98,7 +98,7 @@ def _sparse_product(opsums):
 
 def hamiltonian_sparse(h):
     dim = _check_budget(h.n, h.lattice.n_sites)
-    _check_nonzeros(dim * min(dim, sum(len(t.opsum.terms) for t in h.terms)))
+    _check_nonzeros(dim * min(dim, sum(len(t.opsum.coeffs) for t in h.terms)))
     return -sum(t.opsum.sparse_matrix() for t in h.terms)
 
 

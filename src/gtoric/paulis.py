@@ -15,6 +15,7 @@ Reordering rule: ``Z^b X^a = w_n^{a b} X^a Z^b``.
 from __future__ import annotations
 
 import cmath
+import functools
 import re
 
 import numpy as np
@@ -143,34 +144,22 @@ def symplectic_phase(p, q):
 
 
 def _digit_table(n, nsites, sites):
-    """Array D of shape (len(sites), n^nsites): D[k, i] = digit of site
-    ``sites[k]`` in basis state i (digit d in 0..n-1 stands for level label
-    d+1)."""
-    table = np.empty((len(sites), n**nsites), dtype=np.int64)
-    for row, s in zip(table, sites):
-        # in base n, a basis index is (higher digits, digit of s, lower digits)
-        row.reshape(n**s, n, -1)[...] = np.arange(n)[:, None]
-    return table
+    """Per basis state, its digits on ``sites`` read as one base-n number, the
+    first site most significant (digit d in 0..n-1 stands for level label
+    d+1).  The number is formed on a grid with one axis per site, of length n
+    on the given sites and 1 elsewhere, and spread over the basis once."""
+    code = np.zeros((1,) * nsites, dtype=np.int64)
+    for k, s in enumerate(sites):
+        axis = [1] * nsites
+        axis[s] = n
+        code = code + (np.arange(n) * n ** (len(sites) - 1 - k)).reshape(axis)
+    return np.broadcast_to(code, (n,) * nsites).ravel()
 
 
 def pauli_permutation(p):
     """(row_indices, diagonal_values) realizing the string as a generalized
-    permutation matrix: ``M[rows[i], i] = diag[i]``.  Only the digits of the
-    supported sites are computed."""
-    n, nsites = p.n, p.nsites
-    sites = np.flatnonzero(p.x | p.z)
-    levels = np.arange(n)
-    rows = np.arange(n**nsites)
-    # Z part acts first: phase w_n^{sum_s b_s (digit_s + 1)}, as levels run 1..n
-    zexp = np.full(len(rows), p.z.sum())
-    for s, digits in zip(sites, _digit_table(n, nsites, sites)):
-        a, b = p.x[s], p.z[s]
-        if a:  # X part shifts the digit: d -> d + a (mod n)
-            rows += (((levels + a) % n - levels) * n ** (nsites - 1 - s))[digits]
-        if b:
-            zexp += (b * levels)[digits]
-    roots = np.exp(2j * np.pi * levels / n) * p.phase_factor()
-    return rows, roots[zexp % n]
+    permutation matrix: ``M[rows[i], i] = diag[i]``."""
+    return next(OperatorSum.from_pauli(p)._columns())
 
 
 def apply_pauli(p, vec):
@@ -181,8 +170,32 @@ def apply_pauli(p, vec):
     return out
 
 
+def _phase_roots(n):
+    """``w^k`` for k in 0..2n-1, each computed as ``PauliString.phase_factor``."""
+    return np.array([cmath.exp(1j * cmath.pi * k / n) for k in range(2 * n)])
+
+
+def _cmul(a, b):
+    """Complex ``a * b`` with every real product and sum rounded on its own,
+    as Python's complex multiplication does; numpy's vector loops may fuse
+    them, which would change coefficients in the last bit."""
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 class OperatorSum:
-    """Finite complex-weighted sum of PauliStrings on a common site set."""
+    """Finite complex-weighted sum of PauliStrings on a common site set.
+
+    Stored as packed arrays: ``coeffs`` (T,) complex and the exponents ``x``,
+    ``z`` (T, nsites) int64, views of one (T, 2 nsites) array.  Each row is a
+    distinct Pauli with its phase folded into the coefficient; rows with
+    ``|c| <= 1e-14`` are dropped and the rest are sorted by
+    ``(x.tobytes(), z.tobytes())``.  ``terms`` lists them as
+    ``(coeff, PauliString)`` pairs, built on first read.
+    """
 
     def __init__(self, terms, n=None, nsites=None):
         terms = list(terms)
@@ -194,25 +207,53 @@ class OperatorSum:
         for _, p in terms:
             if p.n != n or p.nsites != nsites:
                 raise ValueError("mixed dimensions in OperatorSum")
+        coeffs = np.array([complex(c) * p.phase_factor() for c, p in terms], dtype=complex)
+        xz = np.array([np.concatenate((p.x, p.z)) for _, p in terms], dtype=np.int64)
+        self._merge(n, nsites, coeffs, xz.reshape(len(terms), 2 * nsites))
+
+    @classmethod
+    def _from_arrays(cls, n, nsites, coeffs, xz, cols=None):
+        out = cls.__new__(cls)
+        out._merge(n, nsites, coeffs, xz, cols)
+        return out
+
+    def _merge(self, n, nsites, coeffs, xz, cols=None):
+        """Sum the coefficients of equal ``[x|z]`` rows in input order and keep
+        the rows above the cut-off, sorted by their bytes.  ``xz`` holds the
+        columns ``cols`` of the packed rows (all of them by default); every
+        other column is zero."""
+        if cols is None:
+            cols = np.flatnonzero(xz.any(axis=0))
+            xz = xz[:, cols]
+        if not len(cols):  # a key needs a column: take column 0, zero in every row
+            cols, xz = np.zeros(1, dtype=np.int64), np.zeros((len(coeffs), 1), dtype=np.int64)
+        # a void item compares by its bytes, as (x.tobytes(), z.tobytes()) do:
+        # the columns left out are equal in every row
+        xz = np.ascontiguousarray(xz, dtype=np.int64)
+        keys = xz.view(np.dtype((np.void, xz.itemsize * len(cols)))).ravel()
+        unique, inverse = np.unique(keys, return_inverse=True)
+        re = np.bincount(inverse, coeffs.real, len(unique))
+        im = np.bincount(inverse, coeffs.imag, len(unique))
+        keep = np.hypot(re, im) > 1e-14  # np.abs may round |c| differently from abs()
         self.n = n
         self.nsites = nsites
-        self.terms = self._merge(terms)
+        self.coeffs = np.empty(np.count_nonzero(keep), dtype=complex)
+        self.coeffs.real = re[keep]
+        self.coeffs.imag = im[keep]
+        self.coeffs.setflags(write=False)
+        self._xz = np.zeros((len(self.coeffs), 2 * nsites), dtype=np.int64)
+        self._xz[:, cols] = unique.view(np.int64).reshape(len(unique), len(cols))[keep]
+        self._xz.setflags(write=False)
+        self.x = self._xz[:, :nsites]
+        self.z = self._xz[:, nsites:]
 
-    @staticmethod
-    def _merge(terms):
-        acc = {}
-        keep = {}
-        for c, p in terms:
-            key = p.key()
-            coeff = complex(c) * p.phase_factor()
-            acc[key] = acc.get(key, 0) + coeff
-            keep[key] = p
-        out = []
-        for key, coeff in acc.items():
-            if abs(coeff) > 1e-14:
-                out.append((coeff, keep[key].with_phase(0)))
-        out.sort(key=lambda t: t[1].key())
-        return out
+    @functools.cached_property
+    def terms(self):
+        """The rows as ``(coeff, PauliString)`` pairs, phase 0 each."""
+        return [
+            (c, PauliString(self.n, x, z))
+            for c, x, z in zip(self.coeffs.tolist(), self.x, self.z)
+        ]
 
     @classmethod
     def identity(cls, n, nsites):
@@ -222,25 +263,44 @@ class OperatorSum:
     def from_pauli(cls, p):
         return cls([(1.0, p)])
 
+    def _check_compatible(self, other):
+        if (self.n, self.nsites) != (other.n, other.nsites):
+            raise ValueError("dimension or site-count mismatch")
+
     def __add__(self, other):
-        return OperatorSum(self.terms + other.terms, self.n, self.nsites)
+        self._check_compatible(other)
+        return OperatorSum._from_arrays(
+            self.n,
+            self.nsites,
+            np.concatenate((self.coeffs, other.coeffs)),
+            np.concatenate((self._xz, other._xz)),
+        )
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
     def __rmul__(self, scalar):
-        return OperatorSum([(scalar * c, p) for c, p in self.terms], self.n, self.nsites)
+        return OperatorSum._from_arrays(
+            self.n, self.nsites, _cmul(complex(scalar), self.coeffs), self._xz
+        )
 
     def __mul__(self, other):
-        if isinstance(other, OperatorSum):
-            prods = [
-                (c1 * c2, p1 * p2) for c1, p1 in self.terms for c2, p2 in other.terms
-            ]
-            return OperatorSum(prods, self.n, self.nsites)
-        return NotImplemented
+        """All pairwise products at once: moving ``Z^{z1}`` past ``X^{x2}``
+        costs ``w_n^{z1 . x2}``, i.e. phase ``2 (z1 . x2)`` in units of w."""
+        if not isinstance(other, OperatorSum):
+            return NotImplemented
+        self._check_compatible(other)
+        n = self.n
+        cross = (self.z @ other.x.T) % n
+        coeffs = _cmul(_cmul(self.coeffs[:, None], other.coeffs[None, :]), _phase_roots(n)[2 * cross])
+        cols = np.flatnonzero(self._xz.any(axis=0) | other._xz.any(axis=0))
+        xz = (self._xz[:, None, cols] + other._xz[None, :, cols]) % n
+        return OperatorSum._from_arrays(
+            n, self.nsites, coeffs.ravel(), xz.reshape(coeffs.size, len(cols)), cols
+        )
 
     def is_zero(self, tol=1e-12):
-        return all(abs(c) <= tol for c, _ in self.terms)
+        return bool(np.all(np.hypot(self.coeffs.real, self.coeffs.imag) <= tol))
 
     def approx_equal(self, other, tol=1e-10):
         return (self - other).is_zero(tol)
@@ -249,54 +309,75 @@ class OperatorSum:
         return self * other - other * self
 
     def support(self):
-        out = set()
-        for _, p in self.terms:
-            out.update(p.support())
-        return sorted(out)
+        return np.flatnonzero((self.x | self.z).any(axis=0)).tolist()
 
     def apply(self, vec):
+        _check_budget(self.n, self.nsites)
+        vec = np.asarray(vec, dtype=complex)
         out = np.zeros(len(vec), dtype=complex)
-        for c, p in self.terms:
-            out += c * apply_pauli(p, vec)
+        for rows, values in self._columns():
+            out[rows] += values * vec
         return out
 
     def restrict(self, sites):
         """The same operator rewritten on the given site subset, which must
         contain the support."""
         sites = list(sites)
-        pos = {s: i for i, s in enumerate(sites)}
-        out = []
-        for c, p in self.terms:
-            if any(s not in pos for s in p.support()):
-                raise ValueError("restriction drops support sites")
-            x = np.zeros(len(sites), dtype=np.int64)
-            z = np.zeros(len(sites), dtype=np.int64)
-            for s in p.support():
-                x[pos[s]] = p.x[s]
-                z[pos[s]] = p.z[s]
-            out.append((c, PauliString(p.n, x, z, p.phase)))
-        return OperatorSum(out, self.n, len(sites))
+        if not set(self.support()) <= set(sites):
+            raise ValueError("restriction drops support sites")
+        cols = np.array(sites, dtype=np.int64)
+        xz = np.hstack((self.x[:, cols], self.z[:, cols]))
+        return OperatorSum._from_arrays(self.n, len(sites), self.coeffs, xz)
+
+    @functools.cached_property
+    def _local(self):
+        """The sum realized on the n^S configurations of the S sites where
+        some term has a nonzero exponent: those sites, and per run of adjacent
+        terms with equal X exponents the basis-index shift and the value of
+        the run at each configuration, its terms' values added in term
+        order."""
+        n, nsites = self.n, self.nsites
+        sites = np.flatnonzero((self.x | self.z).any(axis=0))
+        local = np.indices((n,) * len(sites)).reshape(len(sites), n ** len(sites))
+        # X^a takes digit d of site s to (d + a) mod n, which moves the basis
+        # index by the digit's change times n^(nsites-1-s)
+        place = n ** (nsites - 1 - sites)
+        roots = np.exp(2j * np.pi * np.arange(n) / n)
+        # Z acts first: phase w_n^{sum_s b_s (digit_s + 1)}, as levels run 1..n
+        zsum = self.z.sum(axis=1)
+        x, z = self.x[:, sites], self.z[:, sites]
+        first = np.ones(len(x), dtype=bool)  # first term of a run
+        first[1:] = (x[1:] != x[:-1]).any(axis=1)
+        starts = np.flatnonzero(first)
+        runs = []
+        for start, stop in zip(starts, np.r_[starts[1:], len(x)]):
+            shift = place @ ((local + x[start][:, None]) % n - local)
+            values = self.coeffs[start] * roots[(zsum[start] + z[start] @ local) % n]
+            for t in range(start + 1, stop):
+                values += self.coeffs[t] * roots[(zsum[t] + z[t] @ local) % n]
+            runs.append((shift, values))
+        return sites, runs
+
+    def _columns(self):
+        """Yield ``(rows, values)`` per run of terms with equal X exponents:
+        the run's matrix is ``M[rows[i], i] = values[i]``.  A Pauli term puts
+        one entry in each column, at a row fixed by its X exponents alone."""
+        sites, runs = self._local
+        code = _digit_table(self.n, self.nsites, sites)
+        base = np.arange(self.n**self.nsites)
+        for shift, values in runs:
+            yield base + shift[code], values[code]
 
     def sparse_matrix(self):
-        """CSR matrix of the sum, built in one pass.  A Pauli term puts one
-        entry in each column, at a row fixed by its X exponents alone, so the
-        terms that share X exponents are summed, in term order, into one
-        entry per column; those entries are stacked column by column as CSC
-        arrays."""
+        """CSR matrix of the sum, built in one pass: the entries of the runs
+        of ``_columns()`` are stacked column by column as CSC arrays."""
         dim = self.n**self.nsites
-        _check_nonzeros(dim * len(self.terms))
-        by_x = {}
-        for c, p in self.terms:
-            rows, diag = pauli_permutation(p)
-            key = p.x.tobytes()
-            if key in by_x:
-                by_x[key][1] += c * diag
-            else:
-                by_x[key] = [rows, c * diag]
-        if not by_x:
+        _check_nonzeros(dim * len(self.coeffs))
+        groups = list(self._columns())
+        if not groups:
             return sp.csr_matrix((dim, dim), dtype=complex)
-        rows, vals = (np.stack(arrays, axis=1).ravel() for arrays in zip(*by_x.values()))
-        mat = sp.csc_matrix((vals, rows, np.arange(dim + 1) * len(by_x)), shape=(dim, dim))
+        rows, vals = (np.stack(arrays, axis=1).ravel() for arrays in zip(*groups))
+        mat = sp.csc_matrix((vals, rows, np.arange(dim + 1) * len(groups)), shape=(dim, dim))
         mat.eliminate_zeros()
         return mat.tocsr()
 
@@ -309,16 +390,13 @@ class OperatorSum:
         return self.sparse_matrix().toarray()
 
     def trace(self):
-        """Exact trace: only exponent-free terms contribute n^nsites each."""
-        dim = self.n**self.nsites
-        total = 0j
-        for c, p in self.terms:
-            if not p.x.any() and not p.z.any():
-                total += c * p.phase_factor() * dim
-        return total
+        """Exact trace: only the exponent-free row contributes, n^nsites times
+        its coefficient."""
+        identity_row = ~self._xz.any(axis=1)
+        return complex(self.coeffs[identity_row].sum()) * self.n**self.nsites
 
     def __repr__(self):
-        return f"OperatorSum({len(self.terms)} terms, n={self.n}, sites={self.nsites})"
+        return f"OperatorSum({len(self.coeffs)} terms, n={self.n}, sites={self.nsites})"
 
 
 def to_matrix(obj, max_entries=2**26):

@@ -1,14 +1,20 @@
 """Single-face vertex/face operator commutation, enumerated exactly."""
 
+import itertools
+from collections import Counter
+
 import pytest
 
 from gtoric.commutation import (
+    CORNER_EDGES,
     FaceVertexSpace,
     check_corner_commutation,
     check_summed_commutation,
 )
 from gtoric.groupoids import (
+    ZERO,
     AlgebraElement,
+    central_identity_sum,
     make_isotropy_z2_groupoid,
     make_sis_groupoid,
 )
@@ -130,3 +136,112 @@ class TestCornerTheorem:
         assert data["corner"] == "NW"
         assert data["pairs_checked"] == 16
         assert data["violations"] == []
+
+
+# -- per-state reference loops ------------------------------------------------
+
+
+def reference_face(g, h, state):
+    """1 when the face operator for h keeps the state, else 0."""
+    g1, g2, g3, g4 = state
+    hol = g.compose_chain([g1, g2, g.inverse(g3), g.inverse(g4)])
+    if hol is ZERO or hol != h:
+        return 0
+    return int(g.source(g1) == g.source(h) and g.source(g4) == g.target(h))
+
+
+def reference_vertex(g, gm, corner, state):
+    """Transformed 4-tuple, or None when a composition annihilates."""
+    incoming, outgoing = CORNER_EDGES[corner]
+    out = list(state)
+    for slot in incoming:
+        out[slot] = g.compose(out[slot], g.inverse(gm))
+        if out[slot] is ZERO:
+            return None
+    for slot in outgoing:
+        out[slot] = g.compose(gm, out[slot])
+        if out[slot] is ZERO:
+            return None
+    return tuple(out)
+
+
+def reference_violations(g, corner):
+    states = list(itertools.product(range(len(g)), repeat=4))
+    out = []
+    for gm in range(len(g)):
+        for h in range(len(g)):
+            deviation = 0
+            for state in states:
+                moved = reference_vertex(g, gm, corner, state)
+                ba = moved if (moved is not None and reference_face(g, h, moved)) else None
+                ab = moved if (reference_face(g, h, state) and moved is not None) else None
+                deviation += ab != ba
+            if deviation:
+                out.append((g.label(gm), g.label(h), deviation))
+    return out
+
+
+def reference_summed(g, corner, face_element):
+    def vertex_sum(counter):
+        out = Counter()
+        for state, amp in counter.items():
+            for gm in range(len(g)):
+                moved = reference_vertex(g, gm, corner, state)
+                if moved is not None:
+                    out[moved] += amp
+        return out
+
+    def face_sum(counter):
+        out = Counter()
+        for state, amp in counter.items():
+            weight = sum(c for h, c in face_element.terms.items() if reference_face(g, h, state))
+            if weight:
+                out[state] += amp * weight
+        return out
+
+    deviation = 0
+    for state in itertools.product(range(len(g)), repeat=4):
+        start = Counter({state: 1})
+        ab = {k: v for k, v in vertex_sum(face_sum(start)).items() if v}
+        ba = {k: v for k, v in face_sum(vertex_sum(start)).items() if v}
+        deviation += ab != ba
+    return deviation
+
+
+REFERENCE_GROUPOIDS = dict(GROUPOIDS, **{"pair-1": make_sis_groupoid(1)})
+CORNERS = ["NW", "NE", "SE", "SW"]
+
+
+class TestAgainstReference:
+    """The per-state tables against the per-state loops they replace."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_GROUPOIDS))
+    def test_corner_reports(self, name):
+        g = REFERENCE_GROUPOIDS[name]
+        for corner in CORNERS:
+            rep = check_corner_commutation(g, corner)
+            assert rep.pairs_checked == len(g) ** 2
+            assert rep.violations == reference_violations(g, corner)
+
+    @pytest.mark.parametrize("name,single", [("pair-2", 16), ("pair-3", 81), ("isotropy-z2", 128)])
+    def test_summed_deviations(self, name, single):
+        g = GROUPOIDS[name]
+        identity = AlgebraElement(g, {g.identity_at(1): 1})
+        for corner in CORNERS:
+            for element in (central_identity_sum(g), identity):
+                want = reference_summed(g, corner, element)
+                assert check_summed_commutation(g, corner, element) == want
+        assert check_summed_commutation(g, "SW", identity) == single
+        assert check_summed_commutation(g, "SW") == 0
+
+    @pytest.mark.parametrize("name", ["pair-1", "pair-2", "isotropy-z2"])
+    def test_operators_on_every_state(self, name):
+        g = REFERENCE_GROUPOIDS[name]
+        space = FaceVertexSpace(g)
+        for state in space.basis():
+            for m in range(len(g)):
+                assert space.apply_face(m, state) == reference_face(g, m, state)
+                for corner in CORNERS:
+                    assert space.apply_vertex(m, corner, state) == reference_vertex(
+                        g, m, corner, state
+                    )

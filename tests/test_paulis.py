@@ -1,10 +1,13 @@
 """Generalized Pauli strings: phases, products, matrices, parsing."""
 
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtoric.catalog import build_hamiltonian
 from gtoric.lattice import Lattice
 from gtoric.oracle import BudgetExceededError
 from gtoric.paulis import (
@@ -252,6 +255,120 @@ class TestBudget:
             apply_pauli(p, vec)
         with pytest.raises(BudgetExceededError):
             OperatorSum.from_pauli(p).apply(vec)
+
+
+def reference_merge(terms):
+    """Merge (coeff, PauliString) pairs one by one: the phase folded into the
+    coefficient, equal strings summed in order, |c| <= 1e-14 dropped, sorted
+    by the exponent bytes."""
+    acc, keep = {}, {}
+    for c, p in terms:
+        key = p.key()
+        acc[key] = acc.get(key, 0) + complex(c) * p.phase_factor()
+        keep[key] = p
+    out = [(c, keep[key].with_phase(0)) for key, c in acc.items() if abs(c) > 1e-14]
+    out.sort(key=lambda t: t[1].key())
+    return out
+
+
+def reference_mul(a, b):
+    return reference_merge([(c1 * c2, p1 * p2) for c1, p1 in a for c2, p2 in b])
+
+
+def reference_add(a, b):
+    return reference_merge(a + b)
+
+
+def reference_sub(a, b):
+    return reference_add(a, reference_merge([(-1.0 * c, p) for c, p in b]))
+
+
+def reference_projector(s, target):
+    """``(1/n) sum_j w_n^{-target j} s^j``, merged term by term."""
+    n, power, out = s.n, PauliString.identity(s.n, s.nsites), []
+    for j in range(n):
+        out.append((np.exp(-2j * np.pi * target * j / n) / n, power))
+        power = power * s
+    return reference_merge(out)
+
+
+def assert_same_terms(got, want):
+    assert len(got.terms) == len(want)
+    for (c, p), (d, q) in zip(got.terms, want):
+        assert p == q
+        assert abs(c - d) <= 1e-12
+
+
+def pauli_sum_pair(n):
+    """Two sums over few sites and exponents, so that products and sums merge
+    terms often; the second may repeat the first's strings negated, so that
+    a difference cancels to nothing."""
+    nsites = st.integers(1, 3)
+    coeffs = st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False)
+
+    def sums(draw):
+        k = draw(nsites)
+        paulis = st.composite(lambda d: random_pauli(d, n, k))()
+        a = draw(st.lists(st.tuples(coeffs, paulis), max_size=6))
+        b = draw(st.lists(st.tuples(coeffs, paulis), max_size=6))
+        if draw(st.booleans()):
+            b = b + [(-c, p) for c, p in a]
+        return n, k, a, b
+
+    return st.composite(sums)()
+
+
+array_sums = st.sampled_from([2, 3, 4, 6]).flatmap(pauli_sum_pair)
+
+
+class TestArrayAlgebra:
+    """The packed-array sum against a term-by-term reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(array_sums)
+    def test_matches_pairwise_reference(self, data):
+        n, nsites, a_terms, b_terms = data
+        a = OperatorSum(a_terms, n, nsites)
+        b = OperatorSum(b_terms, n, nsites)
+        ra, rb = reference_merge(a_terms), reference_merge(b_terms)
+        assert_same_terms(a, ra)
+        assert_same_terms(b, rb)
+        assert_same_terms(a * b, reference_mul(ra, rb))
+        assert_same_terms(b * a, reference_mul(rb, ra))
+        assert_same_terms(a + b, reference_add(ra, rb))
+        assert_same_terms(a - b, reference_sub(ra, rb))
+        assert_same_terms(a + b - b - a, reference_sub(reference_sub(reference_add(ra, rb), rb), ra))
+        assert not (a - a).terms
+        assert (a - a).is_zero() and (a * (b - b)).is_zero()
+
+    def test_sixty_four_sites(self):
+        # 2 x 64 base-2 exponent digits do not fit one int64 key
+        lat = Lattice("torus", 4, 4)
+        assert lat.n_sites == 64
+        terms = build_hamiltonian("m1", lat, 2).terms
+        picks = [terms[0], terms[1], terms[16], terms[17]]
+        refs = []
+        for t in picks:
+            acc = reference_merge([(1.0, PauliString.identity(2, 64))])
+            for s, target in t.factors:
+                acc = reference_mul(acc, reference_projector(s, target))
+            assert_same_terms(t.opsum, acc)
+            refs.append(acc)
+        for t, a in zip(picks, refs):
+            for u, b in zip(picks, refs):
+                assert_same_terms(t.opsum * u.opsum, reference_mul(a, b))
+                assert_same_terms(t.opsum - u.opsum, reference_sub(a, b))
+        assert (picks[0].opsum * picks[0].opsum).approx_equal(picks[0].opsum)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_mismatched_dimensions_raise(self, op):
+        empty = OperatorSum([], n=2, nsites=4)
+        for other in (OperatorSum.identity(3, 8), OperatorSum.identity(2, 5),
+                      OperatorSum.identity(3, 4)):
+            with pytest.raises(ValueError):
+                op(empty, other)
+            with pytest.raises(ValueError):
+                op(other, empty)
 
 
 class TestTextFormat:
