@@ -19,7 +19,6 @@ from .paulis import (
     pauli_from_text,
     pauli_to_text,
     symplectic_phase,
-    to_matrix,
 )
 from .catalog import (
     HamiltonianSpec,
@@ -33,7 +32,6 @@ from .catalog import (
     vertex_projector_family,
 )
 from .oracle import (
-    DenseState,
     construct_ground_state,
     ground_space_dimension,
     measure_syndrome,

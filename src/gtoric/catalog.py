@@ -14,8 +14,9 @@ encoded as the pair (tail digit i, head digit j) on the edge's two sites.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -58,26 +59,23 @@ def parse_model_id(text):
 # -- morphism actions ----------------------------------------------------------
 
 
-def left_action(g, m):
-    """Matrix of h |-> m . h on the morphism basis (zero products drop)."""
-    size = len(g)
-    mat = np.zeros((size, size), dtype=complex)
-    for h in range(size):
-        prod = g.compose(m, h)
+def _action_matrix(images):
+    """Matrix sending basis morphism h to ``images[h]``; zero products drop."""
+    mat = np.zeros((len(images), len(images)), dtype=complex)
+    for h, prod in enumerate(images):
         if prod is not ZERO:
             mat[prod, h] = 1.0
     return mat
+
+
+def left_action(g, m):
+    """Matrix of h |-> m . h on the morphism basis (zero products drop)."""
+    return _action_matrix([g.compose(m, h) for h in range(len(g))])
 
 
 def right_action(g, m):
     """Matrix of h |-> h . m on the morphism basis."""
-    size = len(g)
-    mat = np.zeros((size, size), dtype=complex)
-    for h in range(size):
-        prod = g.compose(h, m)
-        if prod is not ZERO:
-            mat[prod, h] = 1.0
-    return mat
+    return _action_matrix([g.compose(h, m) for h in range(len(g))])
 
 
 def encode_edge_state(g, m):
@@ -93,17 +91,9 @@ def decode_edge_state(g, pair):
     return g.morphism_of_pair(*pair)
 
 
-def _level_projector_terms(n, nsites, site, level):
-    """Terms of |level><level| at one site: (1/n) sum_k w_n^{-level k} Z^k."""
-    out = []
-    for k in range(n):
-        coeff = np.exp(-2j * np.pi * level * k / n) / n
-        out.append((coeff, PauliString.from_ops(n, nsites, z_at={site: k})))
-    return out
-
-
 def level_projector(n, nsites, site, level):
-    return OperatorSum(_level_projector_terms(n, nsites, site, level))
+    """|level><level| at one site: the w_n^level eigenprojector of Z there."""
+    return cyclic_projector(PauliString.from_ops(n, nsites, z_at={site: 1}), level)
 
 
 def ketbra(n, nsites, site, i, j):
@@ -156,12 +146,9 @@ def cyclic_projector(s, target):
     return OperatorSum(out)
 
 
-def product_of_projectors(factors, n, nsites):
-    acc = None
-    for s, t in factors:
-        proj = cyclic_projector(s, t)
-        acc = proj if acc is None else acc * proj
-    return OperatorSum.identity(n, nsites) if acc is None else acc
+def product_of_projectors(factors):
+    """Product, in order, of the projectors of one or more (string, target) factors."""
+    return reduce(operator.mul, (cyclic_projector(s, t) for s, t in factors))
 
 
 # -- projector families --------------------------------------------------------
@@ -176,16 +163,15 @@ def _z_string(lat, n, placements):
     return PauliString.from_ops(n, lat.n_sites, z_at=z_at)
 
 
-def _x_string(lat, n, sites, exponent=1):
-    x_at = {lat.site_index(s): exponent for s in sites}
+def _x_string(lat, n, sites):
+    x_at = {lat.site_index(s): 1 for s in sites}
     return PauliString.from_ops(n, lat.n_sites, x_at=x_at)
 
 
 def vertex_corner_string(lat, v, corner, n):
     """The two-site Z check of one vertex corner (NW, SW or SE)."""
-    (d1, e1), (d2, e2) = VERTEX_CORNER_STRINGS[corner]
-    x, y = v
-    return _z_string(lat, n, [(lat.site(x, y, d1), e1), (lat.site(x, y, d2), e2)])
+    dirs, exps = zip(*VERTEX_CORNER_STRINGS[corner])
+    return _vertex_z_check(lat, v, n, dirs, exps)
 
 
 def vertex_projector_family(lat, v, n=2):
@@ -203,7 +189,7 @@ def vertex_projector_family(lat, v, n=2):
             for k2 in range(n):
                 for k3 in range(n):
                     factors = [(x4, k), (corners[0], k1), (corners[1], k2), (corners[2], k3)]
-                    out.append(product_of_projectors(factors, n, lat.n_sites))
+                    out.append(product_of_projectors(factors))
     return out
 
 
@@ -212,11 +198,6 @@ def face_corner_string(lat, f, corner, n):
     s1, s2 = lat.face_corner_sites(f, corner)
     e1, e2 = FACE_CORNER_EXPONENTS[corner]
     return _z_string(lat, n, [(s1, e1), (s2, e2)])
-
-
-def face_corner_projector(lat, f, corner, k, n=2):
-    """Projector onto digit difference k across a face corner; k = 0 matched."""
-    return cyclic_projector(face_corner_string(lat, f, corner, n), k)
 
 
 def face_projector_family(lat, f, n=2):
@@ -229,7 +210,7 @@ def face_projector_family(lat, f, n=2):
     """
     x, y = f
     corners = [(face_corner_string(lat, f, c, n), 0) for c in ("NW", "NE", "SE")]
-    matched = product_of_projectors(corners, n, lat.n_sites)
+    matched = product_of_projectors(corners)
     n_site = lat.site_index(lat.site(x, y, "N"))
     e_site = lat.site_index(lat.site(x, y, "E"))
     family = {}
@@ -260,8 +241,7 @@ class Term:
     @cached_property
     def opsum(self):
         """The expanded OperatorSum, built on first read and kept."""
-        s = self.factors[0][0]
-        return product_of_projectors(self.factors, s.n, s.nsites)
+        return product_of_projectors(self.factors)
 
 
 @dataclass
@@ -431,12 +411,6 @@ def global_shift_symmetry(lat, n=2):
         sites.append(lat.site(x, y, "E"))
         sites.append(lat.site(x, y, "N"))
     return _x_string(lat, n, sites)
-
-
-def local_mismatch_check(lat, v, n=2):
-    """Z_W Z_N at one vertex: the per-vertex conserved check of model m1."""
-    x, y = v
-    return _z_string(lat, n, [(lat.site(x, y, "W"), 1), (lat.site(x, y, "N"), 1)])
 
 
 def face_holonomy(g, lat, f, digits):

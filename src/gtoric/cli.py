@@ -10,6 +10,7 @@ excite     syndrome and classification of a Pauli error string
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 
@@ -31,17 +32,30 @@ def _load_groupoid(spec):
         if kind == "file":
             with open(arg) as fh:
                 return groupoids.Groupoid.from_json(fh.read())
-    except (OSError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:  # a TypeError: data of the wrong shape
         raise click.UsageError(f"bad groupoid spec {spec!r}: {exc}")
     raise click.UsageError(f"unknown groupoid spec {spec!r}")
 
 
-def _build(model, lattice_spec, n):
-    lat = Lattice.from_spec(lattice_spec)
+def _build(model, lattice_spec):
+    """The model's Hamiltonian on the lattice; the model id fixes n."""
     try:
-        return catalog.build_hamiltonian(model, lat, n)
+        return catalog.build_hamiltonian(model, Lattice.from_spec(lattice_spec))
     except ValueError as exc:
         raise click.UsageError(str(exc))
+
+
+def _budget_is_usage(command):
+    """Report a refused or malformed amplitude budget as a usage error."""
+
+    @functools.wraps(command)
+    def wrapper(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except (oracle.BudgetExceededError, oracle.InvalidBudgetError) as exc:
+            raise click.UsageError(str(exc))
+
+    return wrapper
 
 
 def _emit(data, fmt):
@@ -64,11 +78,11 @@ def main():
 @main.command()
 @click.option("--model", default=None, help="model id, e.g. m1 or zn:3")
 @click.option("--lattice", "lattice_spec", default="torus:2x2", show_default=True)
-@click.option("--n", default=2, show_default=True, help="qudit dimension")
 @click.option("--groupoid", "groupoid_spec", default=None, help="sis:N | isotropy-z2 | file:PATH")
 @click.option("--appendix-b", "corner_checks", is_flag=True, help="run the corner commutation enumeration")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
-def validate(model, lattice_spec, n, groupoid_spec, corner_checks, fmt):
+@_budget_is_usage
+def validate(model, lattice_spec, groupoid_spec, corner_checks, fmt):
     """Run the verification suites for a groupoid and/or a model."""
     failures = []
     data = {}
@@ -95,7 +109,7 @@ def validate(model, lattice_spec, n, groupoid_spec, corner_checks, fmt):
             data["corners"] = corners
 
     if model is not None:
-        spec = _build(model, lattice_spec, n)
+        spec = _build(model, lattice_spec)
         data["model"] = spec.model
         data["lattice"] = spec.lattice.spec
         data["terms"] = _sorted_counts(spec)
@@ -153,12 +167,12 @@ def _intertwiner_deviation(g):
 @main.command()
 @click.option("--model", required=True)
 @click.option("--lattice", "lattice_spec", default="torus:2x2", show_default=True)
-@click.option("--n", default=2, show_default=True)
 @click.option("--method", type=click.Choice(["stabilizer", "dense", "both"]), default="stabilizer", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
-def gsd(model, lattice_spec, n, method, fmt):
+@_budget_is_usage
+def gsd(model, lattice_spec, method, fmt):
     """Ground-space dimension of a model."""
-    spec = _build(model, lattice_spec, n)
+    spec = _build(model, lattice_spec)
     data = {"model": spec.model, "lattice": spec.lattice.spec, "n": spec.n}
     data["terms"] = _sorted_counts(spec)
     sm = stabilizer.StabilizerModel.from_hamiltonian(spec)
@@ -171,10 +185,7 @@ def gsd(model, lattice_spec, n, method, fmt):
         data["rank"] = rep["rank"]
         data["consistency"] = rep["consistency"]
     if method in ("dense", "both"):
-        try:
-            trace = oracle.trace_product([t.opsum for t in spec.terms], spec.lattice, spec.n)
-        except (oracle.BudgetExceededError, oracle.InvalidBudgetError) as exc:
-            raise click.UsageError(str(exc))
+        trace = oracle.trace_product([t.opsum for t in spec.terms], spec.lattice, spec.n)
         data["dense_trace"] = trace
         if method == "both":
             data["agree"] = abs(trace - value) < 1e-6
@@ -190,14 +201,14 @@ def gsd(model, lattice_spec, n, method, fmt):
 @main.command()
 @click.option("--model", required=True)
 @click.option("--lattice", "lattice_spec", default="torus:3x3", show_default=True)
-@click.option("--n", default=2, show_default=True)
 @click.option("--op", "op_text", required=True, help="Pauli string, e.g. 'Z@(1,1).E'")
 @click.option("--seed-config", "seed_text", default=None,
               help="product-state seed, e.g. 'all=1 (0,0).E=2'; cross-checks the syndrome densely")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
-def excite(model, lattice_spec, n, op_text, seed_text, fmt):
+@_budget_is_usage
+def excite(model, lattice_spec, op_text, seed_text, fmt):
     """Apply an error string and report the violated terms."""
-    spec = _build(model, lattice_spec, n)
+    spec = _build(model, lattice_spec)
     try:
         err = pauli_from_text(op_text, spec.lattice, spec.n)
     except PauliParseError as exc:
@@ -217,7 +228,7 @@ def excite(model, lattice_spec, n, op_text, seed_text, fmt):
         try:
             digits = oracle.parse_seed_config(seed_text, spec.lattice, spec.n)
             state = oracle.construct_ground_state(spec, digits)
-        except (ValueError, oracle.SeedViolatesFaceTermError, oracle.BudgetExceededError) as exc:
+        except (ValueError, oracle.SeedViolatesFaceTermError) as exc:
             raise click.UsageError(str(exc))
         excited = oracle.apply_pauli_to_state(err, state)
         expectations = oracle.measure_syndrome(spec, excited)

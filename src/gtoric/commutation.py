@@ -68,11 +68,6 @@ class FaceVertexSpace:
         g1, g2, g3, g4 = state
         return ((g1 * self.size + g2) * self.size + g3) * self.size + g4
 
-    def holonomy(self, state):
-        g = self.groupoid
-        g1, g2, g3, g4 = state
-        return g.compose_chain([g1, g2, g.inverse(g3), g.inverse(g4)])
-
     def moved(self, corner):
         if corner not in self._moved:
             incoming, outgoing = CORNER_EDGES[corner]

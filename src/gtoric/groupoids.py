@@ -49,6 +49,13 @@ class Groupoid:
             Morphism(i, s, t, inv, lab) for i, (s, t, inv, lab) in enumerate(morphisms)
         )
         self._table = tuple(tuple(row) for row in composition)
+        size = len(self.morphisms)
+        if len(self._table) != size or any(len(row) != size for row in self._table):
+            raise ValueError(f"composition table must be {size}x{size}, one entry per morphism pair")
+        for row in self._table:
+            for prod in row:
+                if prod is not ZERO and not (isinstance(prod, int) and 0 <= prod < size):
+                    raise ValueError(f"composition entry {prod!r} is neither null nor a morphism index")
         self._by_label = {m.label: m.index for m in self.morphisms}
         self._identities = self._find_identities()
 
@@ -129,9 +136,12 @@ class Groupoid:
         missing = [k for k in keys if k not in data] if isinstance(data, dict) else keys
         if missing:
             raise ValueError(f"groupoid JSON lacks {', '.join(missing)}")
-        morphisms = [
-            (m["source"], m["target"], m["inverse"], m["label"]) for m in data["morphisms"]
-        ]
+        fields = ("source", "target", "inverse", "label")
+        for m in data["morphisms"]:
+            if not (isinstance(m, dict) and "label" in m
+                    and all(isinstance(m.get(f), int) for f in fields[:3])):
+                raise ValueError(f"morphism {m!r} needs integer source, target and inverse, and a label")
+        morphisms = [tuple(m[f] for f in fields) for m in data["morphisms"]]
         return cls(data["n_objects"], morphisms, data["composition"])
 
     def to_json(self):

@@ -26,12 +26,6 @@ import re
 from dataclasses import dataclass
 
 DIRECTIONS = ("W", "N", "E", "S")
-VERTEX_CORNERS = {
-    "NE": ("N", "E"),
-    "NW": ("N", "W"),
-    "SW": ("S", "W"),
-    "SE": ("S", "E"),
-}
 
 
 @dataclass(frozen=True, order=True)
@@ -99,20 +93,6 @@ class Lattice:
         }[d]
 
     # -- counts ----------------------------------------------------------
-
-    @property
-    def n_vertices(self):
-        return self.vx_range * self.vy_range
-
-    @property
-    def n_faces(self):
-        return self.m * self.n
-
-    @property
-    def n_edges(self):
-        if self.topology == "torus":
-            return 2 * self.m * self.n
-        return self.m * (self.n + 1) + self.n * (self.m + 1)
 
     @property
     def n_sites(self):
@@ -230,12 +210,6 @@ class Lattice:
         east/north; left/right point up, top/bottom point east."""
         x, y = face
         return (("v", x, y), ("h", x, y + 1), ("v", (x + 1) % self.m if self.topology == "torus" else x + 1, y), ("h", x, y))
-
-    def vertex_corner_sites(self, vertex, corner):
-        """The two sites in one quadrant of a vertex, e.g. NE -> (N, E)."""
-        x, y = vertex
-        d1, d2 = VERTEX_CORNERS[corner]
-        return self.site(x, y, d1), self.site(x, y, d2)
 
     def vertex_sites(self, vertex):
         """All sites of a vertex in direction order W, N, E, S."""

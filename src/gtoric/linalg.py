@@ -70,23 +70,6 @@ def row_echelon_mod_p(mat, p):
     return a, pivots, t
 
 
-def rank_mod_p(mat, p):
-    _, pivots, _ = row_echelon_mod_p(mat, p)
-    return len(pivots)
-
-
-def left_nullspace_mod_p(mat, p):
-    """Row vectors v with ``v @ mat == 0 (mod p)``; basis as a matrix."""
-    a, pivots, t = row_echelon_mod_p(mat, p)
-    r = len(pivots)
-    return t[r:] % p
-
-
-def nullspace_mod_p(mat, p):
-    """Column-kernel basis (as rows) of mat over GF(p)."""
-    return left_nullspace_mod_p(np.array(mat, dtype=np.int64).T, p)
-
-
 # -- integer Smith normal form -------------------------------------------------
 
 

@@ -14,7 +14,6 @@ projectors, verified to be an exact projector onto the lowest eigenspace.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,48 +57,27 @@ def _check_nonzeros(count):
         raise BudgetExceededError(f"up to {count} sparse nonzeros exceed the budget {budget()}")
 
 
-@dataclass
-class DenseState:
-    """A normalized state vector together with its lattice metadata."""
-
-    amplitudes: np.ndarray
-    lattice: object
-    n: int
-
-    def norm(self):
-        return float(np.linalg.norm(self.amplitudes))
-
-
 def trace_product(terms, lat, n):
     """Exact trace of the ordered product of OperatorSums.
 
     For commuting projector terms this equals the ground-space dimension.
     """
-    dim = _check_budget(n, lat.n_sites)
-    acc = _sparse_product(terms)
-    if acc is None:
-        return float(dim)
-    tr = acc.diagonal().sum()
+    _, tr = _product_trace(terms, _check_budget(n, lat.n_sites))
     if abs(tr.imag) > 1e-6:
         raise AssertionError(f"trace unexpectedly complex: {tr}")
     return float(tr.real)
 
 
-def _sparse_product(opsums):
-    """Sparse matrix of the ordered product of OperatorSums (None if empty)."""
+def _product_trace(opsums, dim):
+    """Sparse matrix of the ordered product of OperatorSums on ``dim``
+    amplitudes (None if there are none) and its trace."""
     acc = None
     for op in opsums:
         # each Pauli term of op puts at most one nonzero in a column
-        _check_nonzeros((op.n**op.nsites if acc is None else acc.nnz) * len(op.coeffs))
+        _check_nonzeros((dim if acc is None else acc.nnz) * len(op.coeffs))
         mat = op.sparse_matrix()
         acc = mat if acc is None else acc @ mat
-    return acc
-
-
-def hamiltonian_sparse(h):
-    dim = _check_budget(h.n, h.lattice.n_sites)
-    _check_nonzeros(dim * min(dim, sum(len(t.opsum.coeffs) for t in h.terms)))
-    return -sum(t.opsum.sparse_matrix() for t in h.terms)
+    return acc, complex(dim if acc is None else acc.diagonal().sum())
 
 
 def ground_space_dimension(h):
@@ -109,15 +87,15 @@ def ground_space_dimension(h):
     dim = _check_budget(h.n, h.lattice.n_sites)
     nterms = len(h.terms)
     if dim <= DENSE_EIG_DIM:
-        ham = hamiltonian_sparse(h).toarray()
+        _check_budget(h.n, 2 * h.lattice.n_sites)  # the dense matrix's entries
+        ham = -sum(t.opsum.sparse_matrix() for t in h.terms).toarray()
         evals = np.linalg.eigvalsh(ham)
         count = int(np.sum(np.abs(evals - (-nterms)) < 1e-8))
         if count and evals.min() < -nterms - 1e-8:
             raise AssertionError("eigenvalue below the commuting-projector bound")
         return count
     # spectral projector onto the joint +1 eigenspace of all terms
-    proj = _sparse_product(t.opsum for t in h.terms)
-    tr = proj.diagonal().sum()
+    proj, tr = _product_trace((t.opsum for t in h.terms), dim)
     count = int(round(tr.real))
     if abs(tr - count) > 1e-6:
         raise AssertionError(f"projector trace {tr} is not an integer")
@@ -148,7 +126,7 @@ def basis_state(lat, n, digits):
         idx = idx * n + (d - 1)
     vec = np.zeros(dim, dtype=complex)
     vec[idx] = 1.0
-    return DenseState(vec, lat, n)
+    return vec
 
 
 def parse_seed_config(text, lat, n):
@@ -176,9 +154,7 @@ def parse_seed_config(text, lat, n):
 def construct_ground_state(h, seed_digits):
     """Project a face-term-satisfying product state into the ground space by
     applying every vertex-kind term, then verify all eigenvalues."""
-    lat, n = h.lattice, h.n
-    state = basis_state(lat, n, seed_digits)
-    vec = state.amplitudes
+    vec = basis_state(h.lattice, h.n, seed_digits)
     bad_faces = []
     for t in h.face_terms():
         val = np.vdot(vec, t.opsum.apply(vec))
@@ -192,16 +168,14 @@ def construct_ground_state(h, seed_digits):
     if norm < 1e-12:
         raise AssertionError("vertex projection annihilated the seed")
     vec = vec / norm
-    out = DenseState(vec, lat, n)
-    for val in measure_syndrome(h, out):
+    for val in measure_syndrome(h, vec):
         if abs(val - 1.0) > TOL:
             raise AssertionError("constructed state is not a joint +1 eigenstate")
-    return out
+    return vec
 
 
-def measure_syndrome(h, state):
-    """Expectation value of every term on the state, in term order."""
-    vec = state.amplitudes
+def measure_syndrome(h, vec):
+    """Expectation value of every term on the state vector, in term order."""
     out = []
     for t in h.terms:
         val = np.vdot(vec, t.opsum.apply(vec))
@@ -211,7 +185,7 @@ def measure_syndrome(h, state):
     return out
 
 
-def apply_pauli_to_state(p, state):
+def apply_pauli_to_state(p, vec):
     from .paulis import apply_pauli
 
-    return DenseState(apply_pauli(p, state.amplitudes), state.lattice, state.n)
+    return apply_pauli(p, vec)

@@ -100,9 +100,6 @@ class PauliString:
             k >>= 1
         return acc
 
-    def with_phase(self, phase):
-        return PauliString(self.n, self.x, self.z, phase)
-
     def is_identity(self):
         return not self.x.any() and not self.z.any() and self.phase == 0
 
@@ -381,12 +378,10 @@ class OperatorSum:
         mat.eliminate_zeros()
         return mat.tocsr()
 
-    def dense_matrix(self, max_entries=2**26):
-        dim = self.n**self.nsites
-        if dim * dim > max_entries:
-            raise MemoryError(
-                f"dense matrix of dimension {dim} exceeds the entry budget"
-            )
+    def dense_matrix(self):
+        """Dense matrix of the sum; its n^(2 nsites) entries count against
+        the amplitude budget."""
+        _check_budget(self.n, 2 * self.nsites)
         return self.sparse_matrix().toarray()
 
     def trace(self):
@@ -397,13 +392,6 @@ class OperatorSum:
 
     def __repr__(self):
         return f"OperatorSum({len(self.coeffs)} terms, n={self.n}, sites={self.nsites})"
-
-
-def to_matrix(obj, max_entries=2**26):
-    """Dense complex matrix of a PauliString or OperatorSum."""
-    if isinstance(obj, PauliString):
-        obj = OperatorSum.from_pauli(obj)
-    return obj.dense_matrix(max_entries=max_entries)
 
 
 # -- text syntax --------------------------------------------------------------

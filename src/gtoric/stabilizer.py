@@ -181,7 +181,7 @@ def logical_basis(m):
     nsites = m.nsites
     # centralizer: vectors v with (x|z) . J . gens^T == 0
     twist = np.concatenate([mat[:, nsites:], -mat[:, :nsites]], axis=1) % n
-    cands = [v % n for v in linalg.nullspace_mod_p(twist, n)]
+    cands = list(linalg.row_group(twist.T, n).relations)
     pairs = []
     while cands:
         u = cands.pop(0)

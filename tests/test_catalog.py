@@ -10,13 +10,12 @@ from gtoric.catalog import (
     decode_edge_state,
     edge_encoding_matrix,
     encode_edge_state,
-    face_corner_projector,
+    face_corner_string,
     face_holonomy,
     face_projector_family,
     global_shift_symmetry,
     left_action,
     level_projector,
-    local_mismatch_check,
     parse_model_id,
     qubit_image_of_action,
     right_action,
@@ -124,7 +123,7 @@ class TestFaceFamily:
         lhs = fam[("x", 1, 1)] + fam[("x", 2, 2)]
         rhs = OperatorSum.identity(2, lat.n_sites)
         for corner in ("NW", "NE", "SE", "SW"):
-            rhs = rhs * face_corner_projector(lat, (0, 0), corner, 0, 2)
+            rhs = rhs * cyclic_projector(face_corner_string(lat, (0, 0), corner, 2), 0)
         assert lhs.approx_equal(rhs)
 
     def test_sample_configuration(self):
@@ -222,12 +221,3 @@ class TestSymmetryOperators:
             expected.add(lat.site_index(lat.site(*v, "N")))
         assert set(op.support()) == expected
         assert not any(op.z)
-
-    def test_local_mismatch_support(self):
-        lat = Lattice("torus", 2, 2)
-        op = local_mismatch_check(lat, (1, 1), 2)
-        assert set(op.support()) == {
-            lat.site_index(lat.site(1, 1, "W")),
-            lat.site_index(lat.site(1, 1, "N")),
-        }
-        assert not any(op.x)

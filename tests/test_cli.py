@@ -14,6 +14,13 @@ def runner():
     return CliRunner()
 
 
+def sis2_json(change):
+    """The sis:2 groupoid file after ``change`` edits its JSON data."""
+    data = make_sis_groupoid(2).to_json_dict()
+    change(data)
+    return json.dumps(data)
+
+
 class TestValidate:
     def test_model_m1_passes(self, runner):
         res = runner.invoke(main, ["validate", "--model", "m1"])
@@ -48,6 +55,12 @@ class TestValidate:
         assert res.exit_code == 0
         assert "status: pass" in res.output
 
+    def test_intertwiner_over_budget(self, runner):
+        # the two-site action images have 16 dense entries
+        res = runner.invoke(main, ["validate", "--model", "m1"], env={"GTORIC_BUDGET": "8"})
+        assert res.exit_code == 2
+        assert "budget" in res.output
+
     def test_unknown_model(self, runner):
         res = runner.invoke(main, ["validate", "--model", "nope"])
         assert res.exit_code != 0
@@ -59,6 +72,19 @@ class TestValidate:
         pytest.param('{"morphisms": [], "composition": []}', "n_objects", id="no-n-objects"),
         pytest.param('{"n_objects": 1, "composition": []}', "morphisms", id="no-morphisms"),
         pytest.param('{"n_objects": 1, "morphisms": []}', "composition", id="no-composition"),
+        pytest.param(sis2_json(lambda d: d["morphisms"][1].pop("source")), "source",
+                     id="morphism-without-source"),
+        pytest.param(sis2_json(lambda d: d["composition"][0].__setitem__(0, 7)),
+                     "composition entry 7", id="entry-out-of-range"),
+        pytest.param(sis2_json(lambda d: d.update(composition=[])), "4x4", id="empty-table"),
+        pytest.param(sis2_json(lambda d: d.update(composition=[1, 2, 3, 4])), "not iterable",
+                     id="rows-not-lists"),
+        pytest.param(sis2_json(lambda d: d.update(n_objects="two")), "not supported",
+                     id="n-objects-not-integer"),
+        pytest.param(sis2_json(lambda d: d.update(morphisms=4)), "not iterable",
+                     id="morphisms-not-a-list"),
+        pytest.param(sis2_json(lambda d: d["morphisms"][0].update(source="a")), "integer source",
+                     id="source-not-integer"),
     ])
     def test_malformed_groupoid_file(self, runner, tmp_path, content, message):
         path = tmp_path / "groupoid.json"
@@ -89,7 +115,7 @@ class TestGsd:
         assert "gsd: 131072" in res.output
 
     def test_zn3(self, runner):
-        res = runner.invoke(main, ["gsd", "--model", "zn:3", "--n", "3"])
+        res = runner.invoke(main, ["gsd", "--model", "zn:3"])
         assert res.exit_code == 0
         assert "gsd: 243" in res.output
 
@@ -126,11 +152,25 @@ class TestGsd:
         pytest.param(["gsd", "--model", "m1", "--method", "dense"], id="gsd"),
         pytest.param(["excite", "--model", "m1", "--lattice", "torus:2x2", "--op", "Z@(1,1).E",
                       "--seed-config", "all=1 E=2 W=2"], id="excite"),
+        pytest.param(["validate", "--model", "m1"], id="validate"),
     ])
     def test_malformed_budget(self, runner, command):
         res = runner.invoke(main, command, env={"GTORIC_BUDGET": "lots"})
         assert res.exit_code == 2
         assert "GTORIC_BUDGET" in res.output
+
+
+@pytest.mark.parametrize("spec", ["torus:1x1", "foo"])
+@pytest.mark.parametrize("command", [
+    ["gsd", "--model", "m1"],
+    ["excite", "--model", "m1", "--op", "Z@(1,1).E"],
+    ["validate", "--model", "m1"],
+], ids=["gsd", "excite", "validate"])
+def test_malformed_lattice(runner, command, spec):
+    res = runner.invoke(main, command + ["--lattice", spec])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)  # a usage error, not a traceback
+    assert "Usage" in res.output
 
 
 class TestExcite:

@@ -8,16 +8,16 @@ from gtoric.lattice import Lattice, MissingSiteError, Site, parse_site
 class TestCounts:
     def test_torus_2x2(self):
         lat = Lattice("torus", 2, 2)
-        assert lat.n_vertices == 4
-        assert lat.n_edges == 8
-        assert lat.n_faces == 4
+        assert len(lat.vertices()) == 4
+        assert len(lat.edges()) == 8
+        assert len(lat.faces()) == 4
         assert lat.n_sites == 16
 
     def test_open_3x4(self):
         lat = Lattice("open", 3, 4)
-        assert lat.n_vertices == 20
-        assert lat.n_faces == 12
-        assert lat.n_edges == 31
+        assert len(lat.vertices()) == 20
+        assert len(lat.faces()) == 12
+        assert len(lat.edges()) == 31
         assert lat.n_sites == 62
 
     def test_torus_minimum(self):
@@ -26,8 +26,8 @@ class TestCounts:
 
     def test_open_1x1(self):
         lat = Lattice("open", 1, 1)
-        assert lat.n_vertices == 4
-        assert lat.n_edges == 4
+        assert len(lat.vertices()) == 4
+        assert len(lat.edges()) == 4
         assert lat.n_sites == 8
 
 
@@ -80,27 +80,20 @@ class TestCorners:
         }
         assert len(lat.face_nonsw_sites((0, 0))) == 6
 
-    def test_vertex_corner_pairs(self):
-        lat = Lattice("torus", 3, 3)
-        assert lat.vertex_corner_sites((1, 1), "NE") == (Site(1, 1, "N"), Site(1, 1, "E"))
-        assert lat.vertex_corner_sites((1, 1), "NW") == (Site(1, 1, "N"), Site(1, 1, "W"))
-        assert lat.vertex_corner_sites((1, 1), "SW") == (Site(1, 1, "S"), Site(1, 1, "W"))
-        assert lat.vertex_corner_sites((1, 1), "SE") == (Site(1, 1, "S"), Site(1, 1, "E"))
-
     def test_vertex_sw_pair_meets_face_ne_pair(self):
         # the SW fan of a vertex uses the same dots as the NE pair of the
         # face whose top-right vertex it is (sets coincide)
         lat = Lattice("torus", 3, 3)
         for x in range(3):
             for y in range(3):
-                v_pair = set(lat.vertex_corner_sites((x, y), "SW"))
+                v_pair = {lat.site(x, y, "S"), lat.site(x, y, "W")}
                 f = ((x - 1) % 3, (y - 1) % 3)
                 assert v_pair == set(lat.face_corner_sites(f, "NE"))
 
     def test_open_boundary_corner_missing(self):
         lat = Lattice("open", 2, 2)
         with pytest.raises(MissingSiteError):
-            lat.vertex_corner_sites((0, 2), "NE")  # top-left vertex has no N site
+            lat.site(0, 2, "N")  # top-left vertex has no N site
 
 
 class TestIncidence:

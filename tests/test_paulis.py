@@ -18,8 +18,11 @@ from gtoric.paulis import (
     pauli_from_text,
     pauli_to_text,
     symplectic_phase,
-    to_matrix,
 )
+
+
+def to_matrix(p):
+    return OperatorSum.from_pauli(p).dense_matrix()
 
 
 def random_pauli(draw, n, nsites):
@@ -245,6 +248,14 @@ class TestBudget:
         with pytest.raises(BudgetExceededError):
             s.sparse_matrix()
 
+    def test_dense_matrix_refused(self, monkeypatch):
+        s = OperatorSum.from_pauli(PauliString.from_ops(2, 3, x_at={0: 1}))
+        monkeypatch.setenv("GTORIC_BUDGET", "64")  # 8 x 8 entries
+        assert s.dense_matrix().shape == (8, 8)
+        monkeypatch.setenv("GTORIC_BUDGET", "63")
+        with pytest.raises(BudgetExceededError):
+            s.dense_matrix()
+
     def test_apply_pauli_refused(self, monkeypatch):
         p = PauliString.from_ops(2, 3, x_at={0: 1})
         vec = np.ones(8)
@@ -266,7 +277,11 @@ def reference_merge(terms):
         key = p.key()
         acc[key] = acc.get(key, 0) + complex(c) * p.phase_factor()
         keep[key] = p
-    out = [(c, keep[key].with_phase(0)) for key, c in acc.items() if abs(c) > 1e-14]
+    out = [
+        (c, PauliString(keep[key].n, keep[key].x, keep[key].z))
+        for key, c in acc.items()
+        if abs(c) > 1e-14
+    ]
     out.sort(key=lambda t: t[1].key())
     return out
 

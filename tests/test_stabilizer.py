@@ -11,7 +11,6 @@ from gtoric.catalog import (
     build_hamiltonian,
     cyclic_projector,
     global_shift_symmetry,
-    local_mismatch_check,
 )
 from gtoric.lattice import Lattice
 from gtoric.oracle import trace_product
@@ -175,7 +174,7 @@ def commuting_models(draw, n):
     for _ in range(draw(st.integers(1, 6))):
         s = PauliString.from_ops(n, nsites, x_at=draw(exps), z_at=draw(exps))
         # the phase parity that makes s^n = I
-        s = s.with_phase(2 * draw(st.integers(0, n - 1)) + (n - 1) * int(s.x @ s.z))
+        s = PauliString(n, s.x, s.z, 2 * draw(st.integers(0, n - 1)) + (n - 1) * int(s.x @ s.z))
         if all(symplectic_phase(s, t) == 0 for t in strings):
             strings.append(s)
     if len(strings) > 1 and draw(st.booleans()):
@@ -279,6 +278,25 @@ class TestLogicalStructure:
                 if i != j:
                     assert symplectic_phase(u, w) % 2 == 0
                     assert symplectic_phase(u, z) % 2 == 0
+
+    @pytest.mark.parametrize(
+        "model_id,m,n,k",
+        [("m1", 2, 2, 5), ("m1", 3, 3, 10), ("mhoriz", 3, 2, 8), ("zn:3", 2, 2, 5)],
+    )
+    def test_conjugate_pairs(self, model_id, m, n, k):
+        sm = model_for(model_id, m=m, n=n)
+        got_k, pairs = logical_basis(sm)
+        assert got_k == k
+        assert len(pairs) == k
+        for p, q in pairs:
+            assert not any(syndrome(sm, p).flips)
+            assert not any(syndrome(sm, q).flips)
+            assert symplectic_phase(p, q) == 1
+        for i, (p, q) in enumerate(pairs):
+            for r, s in pairs[i + 1 :]:
+                for a in (p, q):
+                    for b in (r, s):
+                        assert symplectic_phase(a, b) == 0
 
     def test_classifications(self):
         sm = model_for("m1")
