@@ -22,7 +22,7 @@ import numpy as np
 
 from .groupoids import SisGroupoid, ZERO
 from .lattice import Lattice
-from .paulis import OperatorSum, PauliString, pauli_to_text
+from .paulis import OperatorSum, PauliString, _roots, pauli_to_text
 
 MODEL_IDS = ("m1", "m2", "m3exp", "mhoriz", "mvert", "mnondeg", "zn", "boundary")
 
@@ -138,7 +138,7 @@ def cyclic_projector(s, target):
     out = []
     power = PauliString.identity(n, s.nsites)
     for j in range(n):
-        coeff = np.exp(-2j * np.pi * target * j / n) / n
+        coeff = _roots(n)[-target * j % n] / n
         out.append((coeff, power))
         power = power * s
     if not power.is_identity():

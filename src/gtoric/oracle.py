@@ -9,6 +9,13 @@ environment variable ``GTORIC_BUDGET`` overrides the default of 2**24).  Full
 dense eigensolves are only attempted below ``DENSE_EIG_DIM``; above that the
 ground-space dimension comes from the trace of the product of term
 projectors, verified to be an exact projector onto the lowest eigenspace.
+
+Matrices are realized from phases that ``paulis._roots`` makes exact where
+they can be: for n = 2, and for n = 4 projectors, every root of unity is
+exactly +-1 or +-i, so projector cancellations are exact zeros and the
+running product stores only its true nonzeros (on m1 torus:2x2 at most
+65,536 of 2^32 entries, and 8,192 at the end).  No tolerance cut is
+applied; for other n the entries carry ordinary round-off.
 """
 
 from __future__ import annotations

@@ -10,11 +10,18 @@ Basis convention: the n levels of a site are labelled 1..n with ``|0> == |n>``;
 the local basis |1>, ..., |n> and take site 0 as the most significant digit.
 
 Reordering rule: ``Z^b X^a = w_n^{a b} X^a Z^b``.
+
+Every phase value comes from one table of roots of unity, :func:`_roots`.
+A part of a root that is rational is stored exactly, and the m-th roots for
+m = 1, 2, 4 are exactly +-1 or +-i.  So for n = 2 every phase is exact, and
+for n = 4 every clock eigenvalue and projector coefficient is.  Projector
+cancellations then come out as exact zeros, with no tolerance cut, and a
+realized matrix stores only its true nonzeros.  Elsewhere the irrational
+parts carry the usual round-off.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import re
 
@@ -105,7 +112,7 @@ class PauliString:
 
     def phase_factor(self):
         """The complex value of w_{2n}^phase."""
-        return cmath.exp(1j * cmath.pi * self.phase / self.n)
+        return complex(_roots(2 * self.n)[self.phase])
 
     def key(self):
         """Hashable exponent key ignoring the phase."""
@@ -167,9 +174,28 @@ def apply_pauli(p, vec):
     return out
 
 
-def _phase_roots(n):
-    """``w^k`` for k in 0..2n-1, each computed as ``PauliString.phase_factor``."""
-    return np.array([cmath.exp(1j * cmath.pi * k / n) for k in range(2 * n)])
+@functools.lru_cache(maxsize=None)
+def _roots(m):
+    """The m-th roots of unity ``exp(2 pi i k / m)``, k = 0..m-1, read-only.
+
+    Each angle is split exactly into quarter turns, which multiply by a power
+    of i, and a rest; a rest above an eighth turn is measured back from the
+    next quarter turn, so ``exp`` only ever sees angles in [0, pi/4].  Hence
+    ``r[m-k]`` is exactly ``conj(r[k])``, and for m | 4 every root is exactly
+    +-1 or +-i.  A real or imaginary part within 1e-15 of 0, +-1/2 or +-1
+    is then set to that value: by Niven's theorem these are the only rational
+    values the cosine or sine of a rational multiple of pi takes."""
+    quarter, rest = np.divmod(4 * np.arange(m), m)  # 2 pi k/m = quarter pi/2 + rest pi/(2m)
+    far = 2 * rest > m
+    roots = np.exp(0.5j * np.pi * np.where(far, m - rest, rest) / m)
+    roots[far] = 1j * np.conj(roots[far])  # exp(i(pi/2 - a)) = i conj(exp(ia))
+    roots[2 * rest == m] = np.sqrt(0.5) * (1 + 1j)  # an eighth turn, its parts equal
+    roots *= np.array([1, 1j, -1, -1j])[quarter]
+    parts = roots.view(np.float64)
+    for value in (0.0, 0.5, -0.5, 1.0, -1.0):
+        parts[np.abs(parts - value) < 1e-15] = value
+    roots.setflags(write=False)
+    return roots
 
 
 def _cmul(a, b):
@@ -289,7 +315,7 @@ class OperatorSum:
         self._check_compatible(other)
         n = self.n
         cross = (self.z @ other.x.T) % n
-        coeffs = _cmul(_cmul(self.coeffs[:, None], other.coeffs[None, :]), _phase_roots(n)[2 * cross])
+        coeffs = _cmul(_cmul(self.coeffs[:, None], other.coeffs[None, :]), _roots(2 * n)[2 * cross])
         cols = np.flatnonzero(self._xz.any(axis=0) | other._xz.any(axis=0))
         xz = (self._xz[:, None, cols] + other._xz[None, :, cols]) % n
         return OperatorSum._from_arrays(
@@ -339,7 +365,7 @@ class OperatorSum:
         # X^a takes digit d of site s to (d + a) mod n, which moves the basis
         # index by the digit's change times n^(nsites-1-s)
         place = n ** (nsites - 1 - sites)
-        roots = np.exp(2j * np.pi * np.arange(n) / n)
+        roots = _roots(n)
         # Z acts first: phase w_n^{sum_s b_s (digit_s + 1)}, as levels run 1..n
         zsum = self.z.sum(axis=1)
         x, z = self.x[:, sites], self.z[:, sites]
@@ -383,12 +409,6 @@ class OperatorSum:
         the amplitude budget."""
         _check_budget(self.n, 2 * self.nsites)
         return self.sparse_matrix().toarray()
-
-    def trace(self):
-        """Exact trace: only the exponent-free row contributes, n^nsites times
-        its coefficient."""
-        identity_row = ~self._xz.any(axis=1)
-        return complex(self.coeffs[identity_row].sum()) * self.n**self.nsites
 
     def __repr__(self):
         return f"OperatorSum({len(self.coeffs)} terms, n={self.n}, sites={self.nsites})"

@@ -1,10 +1,14 @@
 """End-to-end tests for the ``gtoric`` command line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import gtoric
 from gtoric.cli import main
 from gtoric.groupoids import make_sis_groupoid
 
@@ -54,6 +58,12 @@ class TestValidate:
         )
         assert res.exit_code == 0
         assert "status: pass" in res.output
+
+    def test_intertwiner_exact(self, runner):
+        # the sis:2 action images are exact: their roots of unity are +-1
+        res = runner.invoke(main, ["validate", "--model", "m1", "--format", "json"])
+        assert res.exit_code == 0
+        assert json.loads(res.output)["action_intertwiner_error"] == 0.0
 
     def test_intertwiner_over_budget(self, runner):
         # the two-site action images have 16 dense entries
@@ -109,6 +119,16 @@ class TestValidate:
         assert "axioms: pass" in res.output
 
 class TestGsd:
+    def test_python_m_gtoric(self):
+        path = [os.path.dirname(os.path.dirname(gtoric.__file__)), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        res = subprocess.run(
+            [sys.executable, "-m", "gtoric", "gsd", "--model", "m1", "--format", "json"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["gsd"] == 32
+
     def test_m1_4x4(self, runner):
         res = runner.invoke(main, ["gsd", "--model", "m1", "--lattice", "torus:4x4"])
         assert res.exit_code == 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gtoric import oracle
 from gtoric.catalog import build_hamiltonian
 from gtoric.lattice import Lattice
 from gtoric.oracle import (
@@ -58,6 +59,34 @@ class TestGroundSpace:
     def test_boundary_1x2(self):
         spec = build_hamiltonian("boundary", Lattice("open", 1, 2))
         assert ground_space_dimension(spec) == 1
+
+
+class TestExactZeros:
+    """With exact roots of unity, n = 2 projector cancellations are exact
+    zeros: the realized terms and their running product hold no round-off."""
+
+    @pytest.mark.parametrize("model, nnz", [
+        ("m1", 393216), ("m2", 393216), ("m3exp", 393216), ("mhoriz", 393216),
+        ("mvert", 393216), ("zn:2", 393216), ("mnondeg", 81920),
+    ])
+    def test_term_matrices_store_no_round_off(self, model, nnz):
+        spec = build_hamiltonian(model, Lattice("torus", 2, 2))
+        mats = [t.opsum.sparse_matrix() for t in spec.terms]
+        assert sum(m.nnz for m in mats) == nnz
+        assert min(np.abs(m.data).min() for m in mats) >= 1e-12
+
+    def test_product_stays_sparse(self, monkeypatch):
+        spec = build_hamiltonian("m1", Lattice("torus", 2, 2))
+        ops = [t.opsum for t in spec.terms]
+        # before each factor the budget check sees the running product's
+        # nonzeros times the factor's term count
+        counts = []
+        monkeypatch.setattr(oracle, "_check_nonzeros", counts.append)
+        product, tr = oracle._product_trace(ops, 2**spec.lattice.n_sites)
+        running = [c // len(op.coeffs) for c, op in zip(counts[1:], ops[1:])] + [product.nnz]
+        assert max(running) <= 65536
+        assert running[-1] == 8192
+        assert tr == 32
 
 
 class TestSeeds:

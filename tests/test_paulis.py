@@ -1,19 +1,23 @@
 """Generalized Pauli strings: phases, products, matrices, parsing."""
 
+import math
 import operator
+from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtoric.catalog import build_hamiltonian
+from gtoric.catalog import build_hamiltonian, cyclic_projector
 from gtoric.lattice import Lattice
-from gtoric.oracle import BudgetExceededError
+from gtoric.oracle import BudgetExceededError, trace_product
 from gtoric.paulis import (
     OperatorSum,
     PauliParseError,
     PauliString,
+    _roots,
     apply_pauli,
     pauli_from_text,
     pauli_to_text,
@@ -148,10 +152,10 @@ class TestOperatorSum:
             assert np.allclose(lhs, am @ bm - bm @ am, atol=1e-10)
 
     def test_trace(self):
-        ident = OperatorSum.identity(2, 3)
-        assert ident.trace() == pytest.approx(8)
+        three_sites = SimpleNamespace(n_sites=3)  # trace_product reads only the site count
+        assert trace_product([OperatorSum.identity(2, 3)], three_sites, 2) == 8
         z = PauliString.from_ops(2, 3, z_at={1: 1})
-        assert OperatorSum([(1.0, z)]).trace() == pytest.approx(0)
+        assert trace_product([OperatorSum([(1.0, z)])], three_sites, 2) == 0
 
     def test_apply_matches_dense(self):
         n, nsites = 2, 3
@@ -198,6 +202,65 @@ qudit_sums = st.sampled_from([2, 3, 4, 6]).flatmap(
 )
 
 
+def rational_cos(num, den):
+    """cos(2 pi num / den) if it is rational, else None.  By Niven's theorem it
+    is rational only when the reduced denominator is 1, 2, 3, 4 or 6."""
+    order = den // math.gcd(num, den)
+    return {1: 1.0, 2: -1.0, 3: -0.5, 4: 0.0, 6: 0.5}.get(order)
+
+
+@st.composite
+def projector_cases(draw):
+    """A string s with ``s^n = 1``, phase included, for n in {2, 4}, and a
+    target: ``s^n`` of the phase-0 string is ``w^r`` with r in {0, n}, so the
+    phase's parity cancels r."""
+    n = draw(st.sampled_from([2, 4]))
+    p = random_pauli(draw, n, draw(st.integers(1, 4)))
+    residue = (PauliString(n, p.x, p.z) ** n).phase
+    s = PauliString(n, p.x, p.z, 2 * draw(st.integers(0, n - 1)) + residue // n)
+    return s, draw(st.integers(0, n - 1))
+
+
+class TestRoots:
+    """One table of roots of unity, exact wherever a part is rational."""
+
+    @pytest.mark.parametrize("m", range(1, 25))
+    def test_table(self, m):
+        roots = _roots(m)
+        assert len(roots) == m and not roots.flags.writeable
+        for k in range(m):
+            assert roots[(m - k) % m] == np.conj(roots[k])
+            # against the root at 40 digits: cmath.exp(2j * pi * k / m) is
+            # itself off by up to 1.1e-15 here, as its argument is rounded
+            with mpmath.workdps(40):
+                exact = mpmath.expjpi(mpmath.mpf(2 * k) / m)
+                assert abs(mpmath.mpc(roots[k].real, roots[k].imag) - exact) <= 4e-16
+            for part, rational in (
+                (roots[k].real, rational_cos(k, m)),
+                (roots[k].imag, rational_cos(4 * k - m, 4 * m)),  # sin x = cos(x - pi/2)
+            ):
+                if rational is not None:
+                    assert part == rational
+                else:
+                    assert part not in (0.0, 0.5, -0.5, 1.0, -1.0)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_phase_factor_reads_the_table(self, n):
+        for phase in range(2 * n):
+            p = PauliString(n, [0], [0], phase)
+            assert p.phase_factor() == _roots(2 * n)[phase]
+
+    @settings(max_examples=80, deadline=None)
+    @given(pauli_pairs)
+    def test_product_and_construction_agree(self, data):
+        # a product of phase-0 strings carries its reordering phase only; the
+        # construction of the product string reads the same table entry
+        n, p, q = data
+        p, q = PauliString(n, p.x, p.z), PauliString(n, q.x, q.z)
+        product = OperatorSum.from_pauli(p) * OperatorSum.from_pauli(q)
+        assert np.array_equal(product.coeffs, OperatorSum.from_pauli(p * q).coeffs)
+
+
 class TestRealization:
     """The support-only realization against a site-by-site construction."""
 
@@ -231,6 +294,19 @@ class TestRealization:
             mat = s.sparse_matrix()
             assert mat.nnz == np.count_nonzero(mat.data)
             assert np.allclose(mat.toarray(), sum(c * kron_reference(r) for c, r in s.terms))
+
+    @settings(max_examples=80, deadline=None)
+    @given(projector_cases())
+    def test_projector_stores_no_round_off(self, case):
+        # for n | 4 the roots are exact, so the cancelled entries are exact zeros
+        s, target = case
+        mat = cyclic_projector(s, target).sparse_matrix()
+        assert np.all(np.abs(mat.data) >= 1e-12)
+        expected = sum(
+            np.exp(-2j * np.pi * target * j / s.n) / s.n * kron_reference(s**j)
+            for j in range(s.n)
+        )
+        assert np.allclose(mat.toarray(), expected, atol=1e-12)
 
     def test_empty_sum(self):
         s = OperatorSum([], n=3, nsites=2)
