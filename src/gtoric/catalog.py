@@ -22,7 +22,7 @@ import numpy as np
 
 from .groupoids import SisGroupoid, ZERO
 from .lattice import Lattice
-from .paulis import OperatorSum, PauliString, _roots, pauli_to_text
+from .paulis import OperatorSum, PauliString, _cmul, _roots, order_divides_n, pauli_to_text
 
 MODEL_IDS = ("m1", "m2", "m3exp", "mhoriz", "mvert", "mnondeg", "zn", "boundary")
 
@@ -133,17 +133,16 @@ def edge_encoding_matrix(g):
 
 def cyclic_projector(s, target):
     """Projector onto the w_n^target eigenspace of the order-n string s:
-    ``(1/n) sum_j w_n^{-target j} s^j``."""
-    n = s.n
-    out = []
-    power = PauliString.identity(n, s.nsites)
-    for j in range(n):
-        coeff = _roots(n)[-target * j % n] / n
-        out.append((coeff, power))
-        power = power * s
-    if not power.is_identity():
+    ``(1/n) sum_j w_n^{-target j} s^j``, where for ``s = w^p X^x Z^z``
+    the power ``s^j`` is ``w^{j p + j(j-1) x.z} X^{j x} Z^{j z}``."""
+    if not order_divides_n(s):
         raise ValueError("string has order larger than n; projector undefined")
-    return OperatorSum(out)
+    n = s.n
+    j = np.arange(n)
+    xz = np.outer(j, np.concatenate((s.x, s.z))) % n
+    phase = (j * s.phase + j * (j - 1) * int(s.x @ s.z)) % (2 * n)
+    coeffs = _cmul(_roots(n)[-target * j % n] / n, _roots(2 * n)[phase])
+    return OperatorSum._from_arrays(n, s.nsites, coeffs, xz)
 
 
 def product_of_projectors(factors):

@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from . import catalog, commutation, groupoids, oracle, stabilizer
-from .lattice import Lattice
+from .lattice import Lattice, MissingSiteError
 from .paulis import PauliParseError, pauli_from_text, pauli_to_text
 
 
@@ -228,7 +228,7 @@ def excite(model, lattice_spec, op_text, seed_text, fmt):
         try:
             digits = oracle.parse_seed_config(seed_text, spec.lattice, spec.n)
             state = oracle.construct_ground_state(spec, digits)
-        except (ValueError, oracle.SeedViolatesFaceTermError) as exc:
+        except (ValueError, MissingSiteError, oracle.SeedViolatesFaceTermError) as exc:
             raise click.UsageError(str(exc))
         excited = oracle.apply_pauli_to_state(err, state)
         expectations = oracle.measure_syndrome(spec, excited)

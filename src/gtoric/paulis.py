@@ -144,6 +144,11 @@ def symplectic_phase(p, q):
     return int(np.dot(p.x, q.z) - np.dot(p.z, q.x)) % p.n
 
 
+def order_divides_n(s):
+    """Whether ``s^n = w^(n phase + n(n-1) x.z) I`` is I: ``phase + (n-1) x.z`` is even."""
+    return (s.phase + (s.n - 1) * int(s.x @ s.z)) % 2 == 0
+
+
 # -- dense / sparse realization and state application ------------------------
 
 

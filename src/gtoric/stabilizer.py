@@ -2,27 +2,30 @@
 consistency, logical operators, syndromes, and string/loop constructions.
 
 A stabilizer model is a list of commuting Pauli-string generators, each of
-order dividing n, with target eigenvalue exponents.  Everything the engine
-answers about the generated group comes from one analysis per model, built
-on first use and shared with target-flipped copies: a single commutation
-product ``X Z^T - Z X^T == 0 (mod n)`` over the exponent matrix, then one
-decomposition of that matrix (``linalg.row_group``: echelon form for prime
-n, Smith normal form otherwise).  It yields the group order, the relations
-among the generators and a membership test.  The simultaneous eigenspace
-dimension is ``n^sites / |group|`` when every relation multiplies out to the
-phase demanded by the targets, and zero (a frustrated model) otherwise.
+order dividing n, with target eigenvalue exponents.  The engine reads them
+from one sparse exponent table, built on first use and shared with
+target-flipped copies.  One analysis per model checks ``X Z^T - Z X^T == 0
+(mod n)`` on it and decomposes it once (``linalg.row_group``: echelon form
+for prime n, Smith normal form otherwise) into the group order, the
+relations among the generators and a membership test.  The ground space has
+dimension ``n^sites / |group|`` when every relation multiplies out to the
+phase the targets demand, and zero (a frustrated model) otherwise.
+Syndromes, classification and the logical basis read the same table; an
+error's eigenvalue shifts are one product ``(Z x_e - X z_e) mod n``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import linalg
-from .paulis import PauliString, symplectic_phase
+from .paulis import PauliString, order_divides_n
+from .paulis import symplectic_phase  # noqa: F401  unused here; perfbench's tracer patches it
 
 PATH_KINDS = {
     # constituent kind -> X-site directions at the step's vertex
@@ -53,10 +56,9 @@ class StabilizerModel:
     _analysis: linalg.RowGroup = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # s^n = w^(n*phase + n(n-1) x.z) I, which is I exactly when
-        # phase + (n-1) x.z is even; dropping the n*e_i relations relies on it
+        # dropping the n*e_i relations relies on s^n = I
         for i, (s, _) in enumerate(self.generators):
-            if (s.phase + (self.n - 1) * int(s.x @ s.z)) % 2:
+            if not order_divides_n(s):
                 raise InvalidModelError(f"generator {i} has order larger than n")
 
     @classmethod
@@ -77,23 +79,30 @@ class StabilizerModel:
 
     def exponent_matrix(self):
         """Rows are generator (x | z) exponent vectors."""
-        rows = []
-        for s, _ in self.generators:
-            rows.append(np.concatenate([s.x, s.z]))
-        return np.array(rows, dtype=np.int64)
+        return np.array([np.concatenate((s.x, s.z)) for s, _ in self.generators], dtype=np.int64)
+
+    @cached_property
+    def exponent_table(self):
+        """The exponent matrix in sparse form: every query reads the generators here."""
+        return sp.csr_matrix(self.exponent_matrix())
 
     @cached_property
     def exponent_blocks(self):
-        """The sparse exponent matrix, its X and Z blocks and ``X Z^T``
-        ([i, j] = x_i.z_j)."""
-        mat = sp.csr_matrix(self.exponent_matrix())
-        x, z = mat[:, : self.nsites], mat[:, self.nsites :]
-        return mat, x, z, (x @ z.T).tocsr()
+        """The X and Z blocks of the exponent table and ``X Z^T`` ([i, j] = x_i.z_j)."""
+        x, z = self.exponent_table[:, : self.nsites], self.exponent_table[:, self.nsites :]
+        return x, z, (x @ z.T).tocsr()
+
+    @cached_property
+    def term_incidence(self):
+        """Sparse term-by-generator matrix, 1 where the generator is a factor of the term."""
+        idx = np.array([i for members in self.term_members for i in members], dtype=np.int64)
+        ptr = np.cumsum([0] + [len(members) for members in self.term_members])
+        return sp.csr_matrix((np.ones(ptr[-1]), idx, ptr), shape=(len(ptr) - 1, len(self.generators)))
 
     def check_commuting(self):
         """Raise unless ``X Z^T - Z X^T == 0 (mod n)`` for the generators'
         exponent blocks, i.e. unless every pair commutes."""
-        xz = self.exponent_blocks[3]
+        xz = self.exponent_blocks[2]
         clash = sp.triu(xz - xz.T, k=1, format="coo")
         bad = clash.data % self.n != 0
         if bad.any():
@@ -105,16 +114,15 @@ class StabilizerModel:
         after the commutation check; the targets do not enter it."""
         if self._analysis is None:
             self.check_commuting()
-            self._analysis = linalg.row_group(self.exponent_blocks[0].toarray(), self.n)
+            self._analysis = linalg.row_group(self.exponent_table.toarray(), self.n)
         return self._analysis
 
     def with_flipped_target(self, index, delta=1):
-        gens = list(self.generators)
-        s, t = gens[index]
-        gens[index] = (s, (t + delta) % self.n)
-        flipped = replace(self, generators=gens)
-        flipped._analysis = self.analysis()
-        flipped.exponent_blocks = self.exponent_blocks
+        self.analysis()
+        flipped = copy.copy(self)  # shares the analysis and every table built so far
+        flipped.generators = list(self.generators)
+        s, t = self.generators[index]
+        flipped.generators[index] = (s, (t + delta) % self.n)
         return flipped
 
 
@@ -125,7 +133,7 @@ def phase_consistent(m):
     (mod 2n), and the targets demand ``2 sum r_i t_i``."""
     n = m.n
     rel = m.analysis().relations % n
-    _, x, z, xz = m.exponent_blocks
+    x, z, xz = m.exponent_blocks
     if ((rel @ x) % n).any() or ((rel @ z) % n).any():
         raise AssertionError("relation vector is not actually a relation")
     phases, targets = np.array([(s.phase, t) for s, t in m.generators], dtype=np.int64).T
@@ -161,10 +169,17 @@ def _qudit_count(g, n):
     return k
 
 
-def _symplectic_form(u, v, n, nsites):
-    ux, uz = u[:nsites], u[nsites:]
-    vx, vz = v[:nsites], v[nsites:]
-    return int(ux @ vz - uz @ vx) % n
+def _exponents(m, *strings):
+    """The strings' ``[x|z]`` exponent vectors, each checked to act on m's qudits."""
+    if any((p.n, p.nsites) != (m.n, m.nsites) for p in strings):
+        raise ValueError("dimension or site-count mismatch")
+    return [np.concatenate((p.x, p.z)) for p in strings]
+
+
+def _form(rows, v, n):
+    """Exponents c_i with ``u_i v = w_n^{c_i} v u_i`` for ``[x|z]`` rows u_i and a vector v."""
+    half = len(v) // 2
+    return (rows @ np.concatenate((-v[half:], v[:half]))) % n
 
 
 def logical_basis(m):
@@ -177,37 +192,23 @@ def logical_basis(m):
     if not linalg.is_prime(n):
         raise NotImplementedError("logical basis extraction needs a prime dimension")
     k = logical_qudit_count(m)
-    mat = m.exponent_matrix()
-    nsites = m.nsites
+    x, z, _ = m.exponent_blocks
     # centralizer: vectors v with (x|z) . J . gens^T == 0
-    twist = np.concatenate([mat[:, nsites:], -mat[:, :nsites]], axis=1) % n
-    cands = list(linalg.row_group(twist.T, n).relations)
+    cands = linalg.row_group(sp.hstack([z, -x]).T.toarray() % n, n).relations
     pairs = []
-    while cands:
-        u = cands.pop(0)
-        partner = None
-        for idx, v in enumerate(cands):
-            if _symplectic_form(u, v, n, nsites) != 0:
-                partner = idx
-                break
-        if partner is None:
+    while len(cands):
+        u, cands = cands[0], cands[1:]
+        forms = _form(cands, u, n)
+        if not forms.any():
             continue  # u commutes with everything left: stabilizer-equivalent
-        v = cands.pop(partner)
-        scale = linalg._inv_mod(_symplectic_form(u, v, n, nsites), n)
-        v = (v * scale) % n
-        rest = []
-        for w in cands:
-            w = (w - _symplectic_form(u, w, n, nsites) * v + _symplectic_form(v, w, n, nsites) * u) % n
-            rest.append(w)
-        cands = rest
+        partner = np.flatnonzero(forms)[0]
+        v = (cands[partner] * linalg._inv_mod(int(forms[partner]), n)) % n
+        cands = np.delete(cands, partner, axis=0)
+        cands = (cands - np.outer(_form(cands, u, n), v) + np.outer(_form(cands, v, n), u)) % n
         pairs.append((u, v))
     if len(pairs) != k:
         raise AssertionError(f"found {len(pairs)} conjugate pairs, expected {k}")
-
-    def to_pauli(vec):
-        return PauliString(n, vec[:nsites], vec[nsites:], 0)
-
-    return k, [(to_pauli(u), to_pauli(v)) for u, v in pairs]
+    return k, [tuple(PauliString(n, w[: m.nsites], w[m.nsites :]) for w in pair) for pair in pairs]
 
 
 @dataclass
@@ -220,33 +221,28 @@ class Syndrome:
 def syndrome(m, error):
     """Eigenvalue shifts caused by a Pauli error; energy counts violated
     TERMS (a term is violated when any of its factors shifts)."""
-    flips = [symplectic_phase(error, s) for s, _ in m.generators]
-    violated = []
-    for idxs, info in zip(m.term_members, m.term_info):
-        if any(flips[i] for i in idxs):
-            violated.append(info)
-    return Syndrome(flips=flips, violated=violated, energy=len(violated))
+    flips = _form(m.exponent_table, *_exponents(m, error), m.n)
+    violated = [m.term_info[t] for t in np.flatnonzero(m.term_incidence @ (flips != 0))]
+    return Syndrome(flips=flips.tolist(), violated=violated, energy=len(violated))
 
 
 def in_stabilizer_group(m, p):
     """Exponent-level membership of p in the generated group."""
-    return m.analysis().contains(np.concatenate([p.x, p.z]))
+    return m.analysis().contains(*_exponents(m, p))
 
 
 def is_logical(m, p):
     """Classify a Pauli string: 'detectable' (nonzero syndrome),
     'stabilizer' (in the generated group) or 'logical'."""
-    if any(syndrome(m, p).flips):
+    if _form(m.exponent_table, *_exponents(m, p), m.n).any():
         return "detectable"
     return "stabilizer" if in_stabilizer_group(m, p) else "logical"
 
 
 def logically_equivalent(m, p, q):
     """Whether two undetectable strings differ by a stabilizer element."""
-    diff = PauliString(m.n, p.x - q.x, p.z - q.z)  # p q^-1 up to phase
-    if any(syndrome(m, diff).flips):
-        return False
-    return in_stabilizer_group(m, diff)
+    diff = np.subtract(*_exponents(m, p, q)) % m.n  # p q^-1 up to phase
+    return not _form(m.exponent_table, diff, m.n).any() and m.analysis().contains(diff)
 
 
 # -- string and loop operators -------------------------------------------------

@@ -234,6 +234,17 @@ class TestExcite:
         assert data["dense_energy"] == 1
         assert data["dense_agrees"] is True
 
+    def test_seed_config_missing_site(self, runner):
+        # open:1x1 has no W site at (0,0): a usage error that names the site
+        res = runner.invoke(
+            main,
+            ["excite", "--model", "boundary", "--lattice", "open:1x1", "--op", "X@(0,0).E",
+             "--seed-config", "(0,0).W=1"],
+        )
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)  # a usage error, not a traceback
+        assert "(0, 0, 'W')" in res.output
+
     def test_bad_pauli_token(self, runner):
         res = runner.invoke(main, ["excite", "--model", "m1", "--op", "Q@(1,1).E"])
         assert res.exit_code != 0

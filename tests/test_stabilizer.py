@@ -2,6 +2,7 @@
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,7 @@ from gtoric.catalog import (
 )
 from gtoric.lattice import Lattice
 from gtoric.oracle import trace_product
-from gtoric.paulis import OperatorSum, PauliString, symplectic_phase
+from gtoric.paulis import OperatorSum, PauliString, _roots, symplectic_phase
 from gtoric.stabilizer import (
     InvalidModelError,
     InvalidPathError,
@@ -99,6 +100,32 @@ class TestConstruction:
             cyclic_projector(s, 0)
         with pytest.raises(InvalidModelError):
             bare_model(n, 1, [(s, 0)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_order_test_matches_power_loop(self, data):
+        """One order test decides s^n = I for the projector and the model:
+        both raise exactly when the power loop does not end at I, and the
+        projector has the power loop's coefficient and exponent bytes."""
+        n = data.draw(st.integers(2, 8))
+        nsites = data.draw(st.integers(1, 4))
+        digits = st.lists(st.integers(0, n - 1), min_size=nsites, max_size=nsites)
+        s = PauliString(n, data.draw(digits), data.draw(digits), data.draw(st.integers(0, 2 * n - 1)))
+        target = data.draw(st.integers(0, n - 1))
+        power, terms = PauliString.identity(n, nsites), []
+        for j in range(n):
+            terms.append((_roots(n)[-target * j % n] / n, power))
+            power = power * s
+        if not power.is_identity():
+            with pytest.raises(ValueError):
+                cyclic_projector(s, target)
+            with pytest.raises(InvalidModelError):
+                bare_model(n, nsites, [(s, target)])
+            return
+        got, want = cyclic_projector(s, target), OperatorSum(terms)
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        assert got.x.tobytes() == want.x.tobytes() and got.z.tobytes() == want.z.tobytes()
+        bare_model(n, nsites, [(s, target)])
 
     def test_exponent_matrix_shape(self):
         sm = model_for("m1")
@@ -202,6 +229,97 @@ class TestDenseAgreement:
         for (s, _), k in zip(sm.generators, powers):
             element = element * s**k
         assert in_stabilizer_group(sm, element)
+
+
+def reference_flips(m, p):
+    """Per-generator eigenvalue shifts, one ``symplectic_phase`` per generator."""
+    return [symplectic_phase(p, s) for s, _ in m.generators]
+
+
+def reference_equivalent(m, p, q):
+    diff = PauliString(m.n, p.x - q.x, p.z - q.z)
+    return not any(reference_flips(m, diff)) and in_stabilizer_group(m, diff)
+
+
+def assert_matches_reference(m, strings):
+    """syndrome, is_logical and logically_equivalent against the per-generator
+    loop; consecutive strings form the equivalence pairs."""
+    for p in strings:
+        flips = reference_flips(m, p)
+        violated = [
+            info for members, info in zip(m.term_members, m.term_info)
+            if any(flips[i] for i in members)
+        ]
+        syn = syndrome(m, p)
+        assert syn.flips == flips and all(type(f) is int for f in syn.flips)
+        assert syn.violated == violated
+        assert syn.energy == len(violated)
+        if any(flips):
+            assert is_logical(m, p) == "detectable"
+        else:
+            assert is_logical(m, p) == ("stabilizer" if in_stabilizer_group(m, p) else "logical")
+    for p, q in zip(strings, strings[1:]):
+        assert logically_equivalent(m, p, q) == reference_equivalent(m, p, q)
+
+
+def group_element(m, powers):
+    element = PauliString.identity(m.n, m.nsites)
+    for (s, _), k in zip(m.generators, powers):
+        element = element * s**k
+    return element
+
+
+class TestTablePath:
+    """Syndromes, classes and equivalence read the exponent table; the
+    per-generator loop they replaced is the reference."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_commuting_models(self, n, data):
+        sm = data.draw(commuting_models(n))
+        digits = st.lists(st.integers(0, n - 1), min_size=sm.nsites, max_size=sm.nsites)
+        gens = st.lists(st.integers(0, n - 1), min_size=len(sm.generators), max_size=len(sm.generators))
+        errors = [PauliString(n, data.draw(digits), data.draw(digits)) for _ in range(3)]
+        element = group_element(sm, data.draw(gens))
+        strings = [errors[0], element, errors[0] * element, errors[1], errors[1] * element, errors[2]]
+        assert_matches_reference(sm, strings)
+        flipped = sm.with_flipped_target(data.draw(st.integers(0, len(sm.generators) - 1)))
+        assert flipped.exponent_table is sm.exponent_table
+        assert flipped.term_incidence is sm.term_incidence
+        assert_matches_reference(flipped, strings)
+
+    @pytest.mark.parametrize(
+        "model, topology, size",
+        [("m1", "torus", 3), ("mnondeg", "torus", 3), ("zn:3", "torus", 3), ("boundary", "open", 2)],
+    )
+    def test_catalog_models(self, model, topology, size):
+        sm = model_for(model, topology, size, size)
+        rng = np.random.default_rng(7)
+        logicals = [p for pair in logical_basis(sm)[1] for p in pair]
+        strings = []
+        for _ in range(12):
+            sparse = rng.random((2, sm.nsites)) < 0.1
+            error = PauliString(sm.n, *(rng.integers(1, sm.n, (2, sm.nsites)) * sparse))
+            element = group_element(sm, rng.integers(0, sm.n, len(sm.generators)))
+            strings += [error, error * element, element]
+            if logicals:
+                strings += [logicals[rng.integers(len(logicals))] * element]
+        want = {"detectable", "stabilizer"} | ({"logical"} if logicals else set())
+        assert {is_logical(sm, p) for p in strings} == want
+        assert_matches_reference(sm, strings)
+
+    @pytest.mark.parametrize(
+        "query",
+        [syndrome, is_logical, in_stabilizer_group,
+         lambda m, p: logically_equivalent(m, m.generators[0][0], p)],
+        ids=["syndrome", "is_logical", "in_stabilizer_group", "logically_equivalent"],
+    )
+    @pytest.mark.parametrize("n, nsites", [(3, 16), (2, 15)], ids=["dimension", "sites"])
+    def test_mismatched_string_rejected(self, query, n, nsites):
+        sm = model_for("m1")
+        with pytest.raises(ValueError, match="dimension or site-count mismatch"):
+            query(sm, PauliString.from_ops(n, nsites, x_at={0: 1}))
 
 
 class TestPhaseConsistency:

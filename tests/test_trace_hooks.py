@@ -48,3 +48,18 @@ def test_one_exponent_matrix_per_report():
         tracer.uninstall()
     # the analysis decomposes the matrix the sparse exponent blocks came from
     assert tracer.calls["stabilizer.exponent_matrix"] == 1
+
+
+def test_queries_read_the_table():
+    spans = load_spans()
+    tracer = spans.Tracer()
+    sm = stabilizer.StabilizerModel.from_hamiltonian(build_hamiltonian("m1", Lattice("torus", 3, 3)))
+    try:
+        tracer.install()
+        stabilizer.syndrome(sm, sm.generators[0][0])
+        stabilizer.is_logical(sm, sm.generators[0][0])
+    finally:
+        tracer.uninstall()
+    # flips are one product over the exponent table, not one call per generator
+    assert tracer.calls["stabilizer.exponent_matrix"] == 1
+    assert tracer.calls["paulis.symplectic_phase"] == 0
