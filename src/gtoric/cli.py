@@ -45,6 +45,14 @@ def _build(model, lattice_spec):
         raise click.UsageError(str(exc))
 
 
+def _stabilizer_model(spec):
+    """The Hamiltonian's stabilizer model; a model the engine refuses is a usage error."""
+    try:
+        return stabilizer.StabilizerModel.from_hamiltonian(spec)
+    except stabilizer.InvalidModelError as exc:
+        raise click.UsageError(str(exc))
+
+
 def _budget_is_usage(command):
     """Report a refused or malformed amplitude budget as a usage error."""
 
@@ -113,7 +121,7 @@ def validate(model, lattice_spec, groupoid_spec, corner_checks, fmt):
         data["model"] = spec.model
         data["lattice"] = spec.lattice.spec
         data["terms"] = _sorted_counts(spec)
-        sm = stabilizer.StabilizerModel.from_hamiltonian(spec)
+        sm = _stabilizer_model(spec)
         try:
             sm.analysis()
             data["terms_commute"] = True
@@ -175,7 +183,7 @@ def gsd(model, lattice_spec, method, fmt):
     spec = _build(model, lattice_spec)
     data = {"model": spec.model, "lattice": spec.lattice.spec, "n": spec.n}
     data["terms"] = _sorted_counts(spec)
-    sm = stabilizer.StabilizerModel.from_hamiltonian(spec)
+    sm = _stabilizer_model(spec)
     value = None
     if method in ("stabilizer", "both"):
         rep = stabilizer.report(sm)
@@ -213,7 +221,7 @@ def excite(model, lattice_spec, op_text, seed_text, fmt):
         err = pauli_from_text(op_text, spec.lattice, spec.n)
     except PauliParseError as exc:
         raise click.UsageError(str(exc))
-    sm = stabilizer.StabilizerModel.from_hamiltonian(spec)
+    sm = _stabilizer_model(spec)
     syn = stabilizer.syndrome(sm, err)
     data = {
         "model": spec.model,

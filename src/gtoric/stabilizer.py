@@ -6,12 +6,14 @@ order dividing n, with target eigenvalue exponents.  The engine reads them
 from one sparse exponent table, built on first use and shared with
 target-flipped copies.  One analysis per model checks ``X Z^T - Z X^T == 0
 (mod n)`` on it and decomposes it once (``linalg.row_group``: echelon form
-for prime n, Smith normal form otherwise) into the group order, the
-relations among the generators and a membership test.  The ground space has
-dimension ``n^sites / |group|`` when every relation multiplies out to the
-phase the targets demand, and zero (a frustrated model) otherwise.
-Syndromes, classification and the logical basis read the same table; an
-error's eigenvalue shifts are one product ``(Z x_e - X z_e) mod n``.
+for prime n, by XOR on bit-packed rows for n = 2, and Smith normal form
+otherwise) into the group order, the relations among the generators and a
+membership test.  The ground space has dimension ``n^sites / |group|`` when
+every relation multiplies out to the phase the targets demand, and zero (a
+frustrated model) otherwise.  Syndromes, classification and the logical
+basis read the same table; an error's eigenvalue shifts are one product
+``(Z x_e - X z_e) mod n``.  All of it is exact in int64 for the n a model
+admits (see ``StabilizerModel``); a larger n is refused, not rounded.
 """
 
 from __future__ import annotations
@@ -46,6 +48,15 @@ class InvalidPathError(ValueError):
 
 @dataclass
 class StabilizerModel:
+    """Pauli-string generators with target exponents, analyzed on first use.
+
+    The engine computes in int64.  Every product-sum it forms (elimination,
+    membership, ``_form``, the commutation check, ``phase_consistent``) has
+    at most ``L = max(generators, 2 * nsites)`` terms, each below ``2 n^2`` in
+    magnitude, so a model is refused with ``InvalidModelError`` unless
+    ``4 L n^2 < 2^63``.  For zn:N on torus:2x2 (L = 32) that admits N < 2^28.
+    """
+
     n: int
     nsites: int
     generators: list  # list of (PauliString, target exponent mod n)
@@ -56,6 +67,12 @@ class StabilizerModel:
     _analysis: linalg.RowGroup = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        terms = max(len(self.generators), 2 * self.nsites)
+        if 4 * terms * self.n**2 >= 2**63:
+            raise InvalidModelError(
+                f"n = {self.n} is too large: exact int64 arithmetic on this model "
+                f"needs 4 L n^2 < 2^63 with L = {terms}"
+            )
         # dropping the n*e_i relations relies on s^n = I
         for i, (s, _) in enumerate(self.generators):
             if not order_divides_n(s):
@@ -130,15 +147,19 @@ def phase_consistent(m):
     """Whether every relation among generators is compatible with the targets:
     for ``s_i = w^{p_i} X^{x_i} Z^{z_i}``, ``prod_i s_i^{r_i}`` has phase
     ``sum r_i p_i + sum r_i (r_i - 1) x_i.z_i + 2 sum_{i<j} r_i r_j x_j.z_i``
-    (mod 2n), and the targets demand ``2 sum r_i t_i``."""
+    (mod 2n), and the targets demand ``2 sum r_i t_i``.  The doubled terms
+    matter mod n only, so they are reduced mod n before every product."""
     n = m.n
     rel = m.analysis().relations % n
     x, z, xz = m.exponent_blocks
     if ((rel @ x) % n).any() or ((rel @ z) % n).any():
         raise AssertionError("relation vector is not actually a relation")
     phases, targets = np.array([(s.phase, t) for s, t in m.generators], dtype=np.int64).T
-    cross = ((sp.tril(xz, k=-1) @ rel.T).T * rel).sum(axis=1)  # sum_{i<j} r_i r_j x_j.z_i
-    phase = rel @ (phases - 2 * targets) + (rel * (rel - 1)) @ xz.diagonal() + 2 * cross
+    xz = xz.copy()
+    xz.data %= n
+    cross = ((sp.tril(xz, k=-1) @ rel.T).T % n * rel).sum(axis=1)  # sum_{i<j} r_i r_j x_j.z_i
+    doubled = ((rel * (rel - 1) // 2) % n @ xz.diagonal() + cross) % n
+    phase = rel @ (phases - 2 * targets) + 2 * doubled
     return not (phase % (2 * n)).any()
 
 

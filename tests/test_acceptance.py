@@ -91,6 +91,15 @@ class TestDegeneracyFormulas:
         lat = Lattice("open", m, n)
         assert gsd(stab("boundary", lat)) == 2 ** (m * n - 2)
 
+    @pytest.mark.parametrize("model,m,n,k", [
+        ("m1", 16, 16, 257),
+        ("m2", 12, 9, 109),
+        ("mhoriz", 12, 9, 9 + 108),
+        ("mvert", 12, 9, 12 + 108),
+    ])
+    def test_large_torus(self, model, m, n, k):
+        assert gsd(stab(model, Lattice("torus", m, n))) == 2**k
+
 
 class TestDenseCrossValidation:
     """The stabilizer count matches the dense oracle on small lattices."""

@@ -159,6 +159,12 @@ class TestGsd:
         assert data["consistency"] is True
         assert data["terms"] == {"face": 4, "vertex": 4}
 
+    @pytest.mark.parametrize("command", ["gsd", "validate"])
+    def test_modulus_too_large_for_int64(self, runner, command):
+        res = runner.invoke(main, [command, "--model", "zn:3037000507", "--lattice", "torus:2x2"])
+        assert res.exit_code == 2
+        assert "too large" in res.output
+
     def test_sparse_product_over_budget(self, runner):
         # 2^24 amplitudes fit the default budget; the projector product's
         # fill-in does not, and is refused before it is formed

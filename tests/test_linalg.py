@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gtoric.linalg import row_echelon_mod_p, row_group, smith_normal_form
 
@@ -172,3 +173,81 @@ class TestRowGroupBruteForce:
         assert abs(integer_det(v)) == 1
         for a, b in zip(d, d[1:]):
             assert (b % a == 0) if a else b == 0
+
+
+def reference_echelon(mat, p):
+    """The plain column loop: one pivot column at a time, one row at a time."""
+    a = np.array(mat, dtype=np.int64) % p
+    rows, cols = a.shape
+    t = np.eye(rows, dtype=np.int64)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if len(nz) == 0:
+            continue
+        pr = r + nz[0]
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+            t[[r, pr]] = t[[pr, r]]
+        inv = pow(int(a[r, c]), -1, p)
+        a[r] = (a[r] * inv) % p
+        t[r] = (t[r] * inv) % p
+        for o in np.nonzero(a[:, c])[0]:
+            if o == r:
+                continue
+            f = a[o, c]
+            a[o] = (a[o] - f * a[r]) % p
+            t[o] = (t[o] - f * t[r]) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots, t
+
+
+def reference_rank(mat, p):
+    return len(reference_echelon(mat, p)[1])
+
+
+@st.composite
+def echelon_inputs(draw):
+    """Signed matrices with zero-row and zero-column cases, all-zero and
+    duplicate rows, and widths across the 8- and 64-bit packing boundaries."""
+    p = draw(st.sampled_from((2, 2, 3, 5, 7)))
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 130))
+    mat = draw(arrays(np.int64, (rows, cols), elements=st.integers(-9, 9)))
+    for i in range(rows):
+        kind = draw(st.sampled_from(("keep", "keep", "zero", "duplicate")))
+        if kind == "zero":
+            mat[i] = 0
+        elif kind == "duplicate" and i:
+            mat[i] = mat[draw(st.integers(0, i - 1))]
+    return p, mat
+
+
+class TestEchelonAgainstReference:
+    """``row_echelon_mod_p`` against the column loop it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(echelon_inputs())
+    def test_same_echelon(self, data):
+        p, mat = data
+        rows = mat.shape[0]
+        ech, pivots, t = row_echelon_mod_p(mat, p)
+        want_ech, want_pivots, want_t = reference_echelon(mat, p)
+        for got in (ech, t):
+            assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert ech.shape == want_ech.shape and ech.tobytes() == want_ech.tobytes()
+        assert pivots == want_pivots
+        if p != 2:
+            assert t.tobytes() == want_t.tobytes()
+            return
+        # the transform is not unique over GF(2): check what defines one
+        assert t.shape == (rows, rows)
+        assert np.array_equal((t @ mat) % 2, ech)
+        assert reference_rank(t, 2) == rows
+        r = len(pivots)
+        kernel = rows - r
+        assert reference_rank(t[r:], 2) == kernel
+        assert reference_rank(np.vstack((t[r:], want_t[r:])), 2) == kernel

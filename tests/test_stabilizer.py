@@ -133,6 +133,32 @@ class TestConstruction:
         assert mat.shape == (len(sm.generators), 2 * sm.nsites)
 
 
+class TestInt64Bound:
+    """The engine computes in int64 and refuses n unless 4 L n^2 < 2^63,
+    L = max(generators, 2 * sites); zn:N on torus:2x2 has L = 32, so N < 2^28."""
+
+    @pytest.mark.parametrize("qdim", [65537, 268435399])  # the largest prime below 2^28
+    def test_below_bound_answers(self, qdim):
+        sm = StabilizerModel.from_hamiltonian(build_hamiltonian(f"zn:{qdim}", Lattice("torus", 2, 2)))
+        assert report(sm)["k"] == 5
+
+    # the smallest prime above 2^28, and one at which n^2 alone overflows
+    @pytest.mark.parametrize("qdim", [268435459, 3037000507])
+    def test_above_bound_refused(self, qdim):
+        with pytest.raises(InvalidModelError, match="too large"):
+            StabilizerModel.from_hamiltonian(build_hamiltonian(f"zn:{qdim}", Lattice("torus", 2, 2)))
+
+    @pytest.mark.parametrize("target, expected", [(0, 1), (1, 0)])
+    def test_relation_phase_of_large_powers(self, target, expected):
+        """s2 = s1^c with c, x.z near n: the relation's phase terms reach n^4
+        before reduction, and only the consistent target leaves a ground state."""
+        n = 1000000007
+        a, b, c = n - 2, n - 3, n - 5
+        s1 = PauliString(n, [a], [b])
+        s2 = PauliString(n, [c * a], [c * b], c * (c - 1) * a * b)
+        assert gsd(bare_model(n, 1, [(s1, 0), (s2, target)])) == expected
+
+
 class TestDegeneracy:
     def test_m1_sizes(self):
         for (m, n), expect in [((2, 2), 32), ((3, 3), 1024), ((4, 5), 2 * 2**20)]:
