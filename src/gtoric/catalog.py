@@ -47,10 +47,10 @@ def parse_model_id(text):
     """Parse a model id string; 'zn:N' carries the qudit dimension."""
     text = text.strip().lower()
     if text.startswith("zn:"):
-        n = int(text.split(":", 1)[1])
-        if n < 2:
-            raise ValueError("zn model needs dimension >= 2")
-        return "zn", n
+        arg = text.split(":", 1)[1].strip()
+        if not arg.isdecimal() or int(arg) < 2:
+            raise ValueError(f"bad model id {text!r}: expected zn:N with integer N >= 2")
+        return "zn", int(arg)
     if text in MODEL_IDS and text != "zn":
         return text, 2
     raise ValueError(f"unknown model id {text!r}")

@@ -1,41 +1,57 @@
-"""Exact linear algebra over Z_n: prime-field elimination and integer
-Smith normal form with transform tracking.
+"""Exact linear algebra over Z_n in int64: elimination over Z_{p^k} and
+the Smith form over Z_n, with transform tracking.
 
 ``row_group`` describes the subgroup of Z_n^cols generated by a matrix's
 rows with one decomposition, chosen once by the modulus.  For prime n one
 ``row_echelon_mod_p`` gives the order from the pivots, the relations among
 the rows from the transform's last rows, and membership by reducing a vector
-against the echelon rows.  For composite n one ``smith_normal_form`` gives
-the order and the relations from the elementary divisors and the left
-transform, and membership from the right transform mod n.
+against the echelon rows.  For composite n one ``smith_normal_form`` over Z_n
+gives the order and the relations from the diagonal and the left transform,
+and membership from one product with the right transform.
 
 For n = 2, the case of most catalog models, ``row_echelon_mod_p`` packs each
 row of ``[mat | I]`` into one Python int and eliminates by XOR, the packed
 tableau of Aaronson and Gottesman (2004); odd p keeps a column loop with one
 array update per pivot.  Both return the same reduced echelon form, so one
-contract serves every prime.  The two functions keep their names and stay
-module globals, called through the module, because ``perfbench``'s tracer
-wraps them by name to count and time each decomposition.
+contract serves every prime.  The Smith form splits Z_n by the Chinese
+remainder theorem into its Z_{p^k} parts (Hostens, Dehaene and De Moor,
+2005), eliminates each part on pivots of least p-adic valuation (a prime
+part runs the same private elimination as ``row_echelon_mod_p``), and joins
+the parts' transforms with the CRT idempotents.  No entry or product-sum
+leaves int64 within the ``StabilizerModel`` bound ``4 L n^2 < 2^63``.  The
+two functions keep their names and stay module globals, called through the
+module, because ``perfbench``'s tracer wraps them by name to count and time
+each decomposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import prod
 from typing import Callable
 
 import numpy as np
 
 
+def _prime_powers(n):
+    """The ``(p, k)`` with ``p^k`` exactly dividing n, by increasing p."""
+    parts = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            parts.append((p, k))
+        p += 1
+    if n > 1:
+        parts.append((n, 1))
+    return parts
+
+
 def is_prime(n):
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
+    return _prime_powers(n) == [(n, 1)]
 
 
 # -- prime fields -------------------------------------------------------------
@@ -52,36 +68,62 @@ def row_echelon_mod_p(mat, p):
     The reduced echelon form and its pivots are unique; over GF(2) T is
     not, and any T with those properties may be returned.  For p = 2 each
     row of ``[mat | I]`` is packed into one Python int and reduced by XOR
-    (``_echelon_gf2``).  For odd p the columns are eliminated one at a time,
-    each pivot updating every other row of ``[mat | T]`` in one array
-    expression; no int64 entry exceeds p^2 in magnitude on the way.  Both
-    results are C-contiguous int64 arrays.  Like ``smith_normal_form``, the
-    function keeps its name and one entry point for every prime, since the
-    benchmark's tracer wraps it by name.
+    (``_echelon_gf2``).  For odd p the columns are eliminated one at a time
+    (``_echelon_local`` with k = 1).  Both results are C-contiguous int64
+    arrays.  Like ``smith_normal_form``, the function keeps its name and one
+    entry point for every prime, since the benchmark's tracer wraps it by
+    name.
     """
     mat = np.asarray(mat, dtype=np.int64)
-    rows, cols = mat.shape
     if p == 2:
         return _echelon_gf2(np.ascontiguousarray(mat, dtype="<i8"))
-    w = np.concatenate((mat % p, np.eye(rows, dtype=np.int64)), axis=1)
-    pivots = []
+    ech, pivots, _, t = _echelon_local(mat, p, 1)
+    return ech, pivots, t
+
+
+def _echelon_local(mat, p, k):
+    """Echelon form of mat over the local ring Z_q, q = p^k: returns
+    ``(ech, pivots, levels, t)`` with ``t @ mat == ech (mod q)``, t invertible
+    mod q, and row i of ech divisible by ``p^levels[i]`` with ``p^levels[i]``
+    in column ``pivots[i]``.
+
+    Sweep v = 0 .. k-1 takes its pivots, column by column, from the entries
+    of valuation exactly v in the rows not yet pivoted, all of which p^v
+    divides.  A pivot row is swapped up and scaled by its unit's inverse, and
+    every other row loses the multiple of it that leaves its entry in the
+    pivot column reduced mod p^v: zero below the pivot and in the pivot rows
+    of the same level.  Each pivot updates the block of ``[mat | T]`` under
+    its row's nonzero columns in one array expression; no int64 entry
+    exceeds q^2 on the way.  For k = 1 this is the reduced echelon form over
+    GF(p) and its unique transform.
+    """
+    q = p**k
+    rows, cols = mat.shape
+    w = np.concatenate((mat % q, np.eye(rows, dtype=np.int64)), axis=1)
+    pivots, levels = [], []
     r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.flatnonzero(w[r:, c])
-        if len(nz) == 0:
-            continue
-        pr = r + nz[0]
-        if pr != r:
-            w[[r, pr]] = w[[pr, r]]
-        w[r] = (w[r] * _inv_mod(w[r, c], p)) % p
-        others = np.flatnonzero(w[:, c])
-        others = others[others != r]
-        w[others] = (w[others] - np.outer(w[others, c], w[r])) % p
-        pivots.append(c)
-        r += 1
-    return np.ascontiguousarray(w[:, :cols]), pivots, np.ascontiguousarray(w[:, cols:])
+    for v in range(k):
+        unit, step = p**v, p ** (v + 1)
+        for c in range(cols):
+            if r >= rows:
+                break
+            nz = np.flatnonzero(w[r:, c] % step)
+            if len(nz) == 0:
+                continue
+            pr = r + nz[0]
+            if pr != r:
+                w[[r, pr]] = w[[pr, r]]
+            w[r] = (w[r] * _inv_mod(w[r, c] // unit, q)) % q
+            f = w[:, c] // unit
+            f[r] = 0
+            others = np.flatnonzero(f)
+            # only the pivot row's nonzero columns change; the catalog's rows are sparse
+            block = np.ix_(others, np.flatnonzero(w[r]))
+            w[block] = (w[block] - np.outer(f[others], w[r][block[1]])) % q
+            pivots.append(c)
+            levels.append(v)
+            r += 1
+    return np.ascontiguousarray(w[:, :cols]), pivots, levels, np.ascontiguousarray(w[:, cols:])
 
 
 def _echelon_gf2(mat):
@@ -139,73 +181,88 @@ def _echelon_gf2(mat):
     return ech, pivots, t
 
 
-# -- integer Smith normal form -------------------------------------------------
+# -- Smith form over Z_n ------------------------------------------------------
 
 
-def smith_normal_form(mat):
-    """Smith normal form with transforms: returns (d, u, v) with
-    ``u @ mat @ v == diag(d)``, u and v unimodular.
+def smith_normal_form(mat, n):
+    """Smith form of mat over Z_n: returns (d, u, v) with
+    ``u @ mat @ v == diag(d) (mod n)``.
 
-    Uses Python integers (object dtype) so intermediate entries never
-    overflow.  Suitable for the few-hundred-row matrices used here.
+    u and v are int64 arrays with entries in [0, n), invertible mod n; d has
+    ``min(rows, cols)`` entries, each a divisor of n (n itself for a zero),
+    with d[i] dividing d[i + 1].  Each part Z_q, q = p^k exactly dividing n,
+    is one elimination of ``mat mod q`` (``_echelon_gf2`` for q = 2,
+    otherwise ``_echelon_local``), whose pivot of level v contributes p^v to
+    its d[i]; levels rise down the rows, so the divisibility chain holds in
+    every part.  The parts' transforms, their rows scaled by units mod q so
+    that each part gives the same d, are joined with the CRT idempotents
+    e_q (1 mod q, 0 mod n / q): ``u = sum e_q u_q`` and ``v = sum e_q v_q``.
     """
-    a = np.array(mat, dtype=object)
-    rows, cols = a.shape
-    u = np.eye(rows, dtype=object)
-    v = np.eye(cols, dtype=object)
-    k = 0
-    while k < min(rows, cols):
-        # find the nonzero entry of smallest magnitude in the remaining block
-        sub = a[k:, k:]
-        nz = np.nonzero(sub)
-        if len(nz[0]) == 0:
-            break
-        mags = np.abs(sub[nz].astype(object))
-        best = int(np.argmin([int(m) for m in mags]))
-        pi, pj = int(nz[0][best]) + k, int(nz[1][best]) + k
-        if pi != k:
-            a[[k, pi]] = a[[pi, k]]
-            u[[k, pi]] = u[[pi, k]]
-        if pj != k:
-            a[:, [k, pj]] = a[:, [pj, k]]
-            v[:, [k, pj]] = v[:, [pj, k]]
-        # clear column and row below/right of the pivot
-        clean = True
-        for i in range(k + 1, rows):
-            if a[i, k] != 0:
-                q = a[i, k] // a[k, k]
-                a[i] = a[i] - q * a[k]
-                u[i] = u[i] - q * u[k]
-                if a[i, k] != 0:
-                    clean = False
-        for j in range(k + 1, cols):
-            if a[k, j] != 0:
-                q = a[k, j] // a[k, k]
-                a[:, j] = a[:, j] - q * a[:, k]
-                v[:, j] = v[:, j] - q * v[:, k]
-                if a[k, j] != 0:
-                    clean = False
-        if not clean:
-            continue  # remainders left; pick a new pivot
-        if np.any(a[k + 1 :, k] != 0) or np.any(a[k, k + 1 :] != 0):
-            continue
-        # divisibility: pivot must divide every remaining entry
-        rest = a[k + 1 :, k + 1 :]
-        bad = None
-        nz = np.nonzero(rest % a[k, k] != 0) if rest.size else (np.array([]),)
-        if rest.size and len(nz[0]):
-            bad = (int(nz[0][0]) + k + 1, int(nz[1][0]) + k + 1)
-        if bad is not None:
-            # fold the offending row into the pivot row and redo
-            a[k] = a[k] + a[bad[0]]
-            u[k] = u[k] + u[bad[0]]
-            continue
-        if a[k, k] < 0:
-            a[k] = -a[k]
-            u[k] = -u[k]
-        k += 1
-    d = [int(a[i, i]) for i in range(min(rows, cols))]
+    mat = np.asarray(mat, dtype=np.int64)
+    rows, cols = mat.shape
+    size = min(rows, cols)
+    parts = []
+    for p, k in _prime_powers(n):
+        if p**k == 2:
+            ech, pivots, t = _echelon_gf2(np.ascontiguousarray(mat, dtype="<i8"))
+            levels = [0] * len(pivots)
+        else:
+            ech, pivots, levels, t = _echelon_local(mat, p, k)
+        v = _column_transform(ech, pivots, levels, p, p**k)
+        parts.append((p, k, levels + [k] * (size - len(pivots)), t, v))
+    d = [prod(p**level[i] for p, _, level, _, _ in parts) for i in range(size)]
+    for p, k, level, u_q, v_q in parts:
+        q = p**k
+        e = n // q * pow(n // q, -1, q)
+        unit = [d[i] // p ** level[i] % q for i in range(size)] + [1] * (rows - size)
+        u_q *= np.array(unit, dtype=np.int64)[:, None]
+        u_q %= q
+        for part in (u_q, v_q):
+            part *= e
+            part %= n
+    # the sums build up in the first part's arrays, so no third copy is made
+    _, _, _, u, v = parts[0]
+    for _, _, _, u_q, v_q in parts[1:]:
+        u += u_q
+        v += v_q
+    u %= n
+    v %= n
     return d, u, v
+
+
+def _column_transform(ech, pivots, levels, p, q):
+    """The column operations that finish an echelon form over Z_q, q = p^k:
+    returns v, invertible mod q, with ``ech @ v == diag(p^levels)`` (mod q)
+    in the first ``len(pivots)`` columns and zero elsewhere.
+
+    Pivot row i of ech is ``p^levels[i] (e_c + b_i)`` for its pivot column c,
+    where b_i vanishes on c and on the earlier pivot columns, and on the
+    later ones except where a later pivot has a higher level.  With N the
+    matrix whose row c is b_i, ``ech`` is a row selection of ``diag(p^level)
+    (I + N)``, and N is nilpotent, so ``v = (I + N)^{-1}`` with the pivot
+    columns moved first.  Only the pivot-column block C of the b_i couples
+    them: ``(I + N)^{-1} = I - S^T (I + C)^{-1} B`` for B the rows b_i, S the
+    pivot selection, and ``(I + C) X = B`` is solved by back-substitution
+    over the rows of C that are not zero (none over a prime field).
+    """
+    cols = ech.shape[1]
+    pivots = np.array(pivots, dtype=np.intp)
+    b = ech[: len(pivots)] // p ** np.array(levels, dtype=np.int64)[:, None]
+    b[np.arange(len(pivots)), pivots] = 0
+    c = b[:, pivots]
+    for i in np.flatnonzero(c.any(axis=1))[::-1]:
+        b[i] = (b[i] - c[i] @ b) % q
+    # v is I - S^T X, X = (I + C)^{-1} B, with the pivot columns moved first
+    r = len(pivots)
+    free = np.setdiff1d(np.arange(cols), pivots)
+    x = b[:, np.concatenate((pivots, free))]
+    np.negative(x, out=x)
+    x[np.arange(r), np.arange(r)] += 1
+    x %= q
+    v = np.zeros((cols, cols), dtype=np.int64)
+    v[pivots] = x
+    v[free, np.arange(r, cols)] = 1
+    return v
 
 
 # -- the group generated by the rows of a matrix over Z_n -----------------------
@@ -241,7 +298,7 @@ class RowGroup:
 
 def row_group(mat, n):
     """Decompose mat once: ``row_echelon_mod_p`` for prime n, otherwise
-    ``smith_normal_form`` of the integer matrix."""
+    ``smith_normal_form`` over Z_n."""
     mat = np.array(mat, dtype=np.int64)
     rows, cols = mat.shape
     if is_prime(n):
@@ -254,19 +311,15 @@ def row_group(mat, n):
             return not np.any((vec - vec[pivots] @ basis) % n)
 
         return RowGroup(n, (n,) * r, t[r:] % n, contains)
-    d, u, v = smith_normal_form(mat)
-    d = d + [0] * (max(rows, cols) - len(d))
-    g = [gcd(di, n) for di in d]
-    relations = [(n // g[i]) * u[i] % n for i in range(rows) if g[i] != 1]
-    v_mod = (v % n).astype(np.int64)
-    g_cols = np.array(g[:cols], dtype=np.int64)
+    d, u, v = smith_normal_form(mat, n)
+    g = np.array(d + [n] * (max(rows, cols) - len(d)), dtype=np.int64)
+    g_rows, g_cols = g[:rows], g[:cols]
+    kept = g_rows != 1
+    relations = (n // g_rows[kept])[:, None] * u[kept] % n
+    # columns with g = 1 test nothing: every residue is divisible by 1
+    v_kept, g_kept = v[:, g_cols != 1], g_cols[g_cols != 1]
 
     def contains(vec):
-        return not np.any((np.asarray(vec, dtype=np.int64) @ v_mod) % n % g_cols)
+        return not np.any((np.asarray(vec, dtype=np.int64) % n @ v_kept) % g_kept)
 
-    return RowGroup(
-        n,
-        tuple(n // gi for gi in g if gi != n),
-        np.array(relations, dtype=np.int64).reshape(len(relations), rows),
-        contains,
-    )
+    return RowGroup(n, tuple(n // int(gi) for gi in g if gi != n), relations, contains)

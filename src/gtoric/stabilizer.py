@@ -6,8 +6,9 @@ order dividing n, with target eigenvalue exponents.  The engine reads them
 from one sparse exponent table, built on first use and shared with
 target-flipped copies.  One analysis per model checks ``X Z^T - Z X^T == 0
 (mod n)`` on it and decomposes it once (``linalg.row_group``: echelon form
-for prime n, by XOR on bit-packed rows for n = 2, and Smith normal form
-otherwise) into the group order, the relations among the generators and a
+for prime n, by XOR on bit-packed rows for n = 2, and otherwise the Smith
+form over Z_n, one int64 elimination per prime-power part joined by the
+CRT) into the group order, the relations among the generators and a
 membership test.  The ground space has dimension ``n^sites / |group|`` when
 every relation multiplies out to the phase the targets demand, and zero (a
 frustrated model) otherwise.  Syndromes, classification and the logical

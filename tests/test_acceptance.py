@@ -100,6 +100,12 @@ class TestDegeneracyFormulas:
     def test_large_torus(self, model, m, n, k):
         assert gsd(stab(model, Lattice("torus", m, n))) == 2**k
 
+    @pytest.mark.parametrize("qdim", [4, 6])
+    def test_composite_large_torus(self, qdim):
+        # k = N_v + 1 logical qudits, from the Smith form over Z_4 and Z_6
+        sm = stab(f"zn:{qdim}", Lattice("torus", 12, 12), n=qdim)
+        assert logical_qudit_count(sm) == 145
+
 
 class TestDenseCrossValidation:
     """The stabilizer count matches the dense oracle on small lattices."""

@@ -165,6 +165,13 @@ class TestGsd:
         assert res.exit_code == 2
         assert "too large" in res.output
 
+    @pytest.mark.parametrize("model", ["zn:x", "zn:1", "zn:"])
+    def test_malformed_zn_id(self, runner, model):
+        res = runner.invoke(main, ["gsd", "--model", model])
+        assert res.exit_code == 2
+        assert repr(model) in res.output
+        assert "zn:N with integer N >= 2" in res.output
+
     def test_sparse_product_over_budget(self, runner):
         # 2^24 amplitudes fit the default budget; the projector product's
         # fill-in does not, and is refused before it is formed

@@ -1,4 +1,6 @@
-"""Modular linear algebra: echelon forms, Smith normal form, span tests."""
+"""Modular linear algebra: echelon forms, Smith forms, span tests."""
+
+from math import gcd
 
 import numpy as np
 import pytest
@@ -6,7 +8,96 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gtoric.linalg import row_echelon_mod_p, row_group, smith_normal_form
+from gtoric.linalg import RowGroup, row_echelon_mod_p, row_group, smith_normal_form
+
+
+def reference_smith(mat):
+    """Integer Smith normal form with transforms: returns (d, u, v) with
+    ``u @ mat @ v == diag(d)``, u and v unimodular.
+
+    The object-dtype loop ``smith_normal_form`` replaced: Python integers, so
+    no entry overflows, and a pivot of least magnitude at each step.
+    """
+    a = np.array(mat, dtype=object)
+    rows, cols = a.shape
+    u = np.eye(rows, dtype=object)
+    v = np.eye(cols, dtype=object)
+    k = 0
+    while k < min(rows, cols):
+        # find the nonzero entry of smallest magnitude in the remaining block
+        sub = a[k:, k:]
+        nz = np.nonzero(sub)
+        if len(nz[0]) == 0:
+            break
+        mags = np.abs(sub[nz].astype(object))
+        best = int(np.argmin([int(m) for m in mags]))
+        pi, pj = int(nz[0][best]) + k, int(nz[1][best]) + k
+        if pi != k:
+            a[[k, pi]] = a[[pi, k]]
+            u[[k, pi]] = u[[pi, k]]
+        if pj != k:
+            a[:, [k, pj]] = a[:, [pj, k]]
+            v[:, [k, pj]] = v[:, [pj, k]]
+        # clear column and row below/right of the pivot
+        clean = True
+        for i in range(k + 1, rows):
+            if a[i, k] != 0:
+                q = a[i, k] // a[k, k]
+                a[i] = a[i] - q * a[k]
+                u[i] = u[i] - q * u[k]
+                if a[i, k] != 0:
+                    clean = False
+        for j in range(k + 1, cols):
+            if a[k, j] != 0:
+                q = a[k, j] // a[k, k]
+                a[:, j] = a[:, j] - q * a[:, k]
+                v[:, j] = v[:, j] - q * v[:, k]
+                if a[k, j] != 0:
+                    clean = False
+        if not clean:
+            continue  # remainders left; pick a new pivot
+        if np.any(a[k + 1 :, k] != 0) or np.any(a[k, k + 1 :] != 0):
+            continue
+        # divisibility: pivot must divide every remaining entry
+        rest = a[k + 1 :, k + 1 :]
+        bad = None
+        nz = np.nonzero(rest % a[k, k] != 0) if rest.size else (np.array([]),)
+        if rest.size and len(nz[0]):
+            bad = (int(nz[0][0]) + k + 1, int(nz[1][0]) + k + 1)
+        if bad is not None:
+            # fold the offending row into the pivot row and redo
+            a[k] = a[k] + a[bad[0]]
+            u[k] = u[k] + u[bad[0]]
+            continue
+        if a[k, k] < 0:
+            a[k] = -a[k]
+            u[k] = -u[k]
+        k += 1
+    d = [int(a[i, i]) for i in range(min(rows, cols))]
+    return d, u, v
+
+
+def reference_row_group(mat, n):
+    """The group generated by the rows of mat over Z_n, read off the integer
+    Smith form the way ``row_group`` read it for composite n."""
+    mat = np.array(mat, dtype=np.int64)
+    rows, cols = mat.shape
+    d, u, v = reference_smith(mat)
+    d = d + [0] * (max(rows, cols) - len(d))
+    g = [gcd(di, n) for di in d]
+    relations = [(n // g[i]) * u[i] % n for i in range(rows) if g[i] != 1]
+    v_mod = (v % n).astype(np.int64)
+    g_cols = np.array(g[:cols], dtype=np.int64)
+
+    def contains(vec):
+        return not np.any((np.asarray(vec, dtype=np.int64) @ v_mod) % n % g_cols)
+
+    return RowGroup(
+        n,
+        tuple(n // gi for gi in g if gi != n),
+        np.array(relations, dtype=np.int64).reshape(len(relations), rows),
+        contains,
+    )
 
 
 class TestEchelon:
@@ -48,7 +139,7 @@ class TestSmith:
         rng = np.random.default_rng(2)
         for _ in range(20):
             mat = rng.integers(-4, 5, (4, 5)).astype(object)
-            d, u, v = smith_normal_form(np.array(mat, dtype=object))
+            d, u, v = reference_smith(np.array(mat, dtype=object))
             prod = np.array(u, dtype=object) @ np.array(mat, dtype=object) @ np.array(v, dtype=object)
             for i in range(4):
                 for j in range(5):
@@ -59,7 +150,7 @@ class TestSmith:
         rng = np.random.default_rng(3)
         for _ in range(20):
             mat = rng.integers(-6, 7, (3, 3)).astype(object)
-            d, _, _ = smith_normal_form(mat)
+            d, _, _ = reference_smith(mat)
             nz = [abs(x) for x in d if x != 0]
             for a, b in zip(nz, nz[1:]):
                 assert b % a == 0
@@ -124,6 +215,8 @@ def integer_det(mat):
     """Exact determinant of a square integer matrix (Bareiss elimination)."""
     a = [[int(x) for x in row] for row in mat]
     size, sign, prev = len(a), 1, 1
+    if size == 0:
+        return 1
     for k in range(size - 1):
         if a[k][k] == 0:
             swap = next((i for i in range(k + 1, size) if a[i][k] != 0), None)
@@ -164,7 +257,7 @@ class TestRowGroupBruteForce:
     def test_smith_form(self, data):
         n, mat = data
         mat = mat - n // 2  # signed entries
-        d, u, v = smith_normal_form(mat)
+        d, u, v = reference_smith(mat)
         diag = np.zeros(mat.shape, dtype=object)
         for i, di in enumerate(d):
             diag[i, i] = di
@@ -251,3 +344,69 @@ class TestEchelonAgainstReference:
         kernel = rows - r
         assert reference_rank(t[r:], 2) == kernel
         assert reference_rank(np.vstack((t[r:], want_t[r:])), 2) == kernel
+
+
+COMPOSITE = (4, 6, 8, 9, 12)
+
+
+@st.composite
+def composite_inputs(draw, max_rows=12, max_cols=30):
+    """Signed matrices over composite n with zero, duplicate and scaled rows;
+    a row scaled by a divisor of n generates a summand smaller than Z_n."""
+    n = draw(st.sampled_from(COMPOSITE))
+    rows, cols = draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols))
+    mat = draw(arrays(np.int64, (rows, cols), elements=st.integers(-2 * n, 2 * n)))
+    divisors = [a for a in range(2, n) if n % a == 0]
+    for i in range(rows):
+        kind = draw(st.sampled_from(("keep", "zero", "duplicate", "scaled", "scaled")))
+        if kind == "zero":
+            mat[i] = 0
+        elif kind == "duplicate" and i:
+            mat[i] = mat[draw(st.integers(0, i - 1))]
+        elif kind == "scaled":
+            mat[i] *= draw(st.sampled_from(divisors))
+    return n, mat
+
+
+class TestSmithOverZn:
+    """``smith_normal_form`` over Z_n, and ``row_group`` for composite n
+    against the integer Smith form it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(composite_inputs(max_cols=12))
+    def test_contract(self, data):
+        n, mat = data
+        rows, cols = mat.shape
+        d, u, v = smith_normal_form(mat, n)
+        assert u.dtype == v.dtype == np.int64
+        assert u.shape == (rows, rows) and v.shape == (cols, cols)
+        diag = np.zeros((rows, cols), dtype=np.int64)
+        diag[np.arange(len(d)), np.arange(len(d))] = d
+        assert len(d) == min(rows, cols)
+        assert np.array_equal((u @ mat @ v) % n, diag % n)
+        assert gcd(integer_det(u), n) == 1
+        assert gcd(integer_det(v), n) == 1
+        assert all(n % di == 0 for di in d)
+        assert all(b % a == 0 for a, b in zip(d, d[1:]))
+
+    @settings(max_examples=120, deadline=None)
+    @given(composite_inputs(), st.integers(0, 2**32 - 1))
+    def test_row_group_against_reference(self, data, seed):
+        n, mat = data
+        rows, cols = mat.shape
+        group, want = row_group(mat, n), reference_row_group(mat, n)
+        assert group.factors == want.factors
+        assert group.order == want.order
+        assert group.rank == want.rank
+        if group.rank is not None:
+            assert len(group.relations) == len(want.relations)
+        rel = group.relations
+        assert rel.shape == (len(rel), rows)
+        assert not np.any((rel @ mat) % n)
+        assert reference_row_group(rel, n).order * group.order == n**rows
+        rng = np.random.default_rng(seed)
+        members = rng.integers(0, n, (10, rows)) @ mat % n
+        for vec in members:
+            assert group.contains(vec) and want.contains(vec)
+        for vec in rng.integers(0, n, (20, cols)):
+            assert group.contains(vec) == want.contains(vec)

@@ -212,6 +212,105 @@ class TestDegeneracy:
         assert report(build()) == expect
 
 
+
+def powered(model_id, m, n, powers):
+    """The zn model with generator i replaced by its ``powers[i]``-th power,
+    so that some summands of the generated group are smaller than Z_n."""
+    sm = model_for(model_id, m=m, n=n)
+    gens = [(s ** powers.get(i, 1), t) for i, (s, t) in enumerate(sm.generators)]
+    return StabilizerModel(sm.n, sm.nsites, gens, sm.term_members, sm.term_info)
+
+
+class TestCompositeReports:
+    """``report()`` for composite n, pinned to the values of the integer
+    Smith form the Z_n decomposition replaced.  Generator 0 takes part in no
+    relation of a zn torus model, so flipping its target changes nothing;
+    generator 1 takes part in one, so flipping it frustrates the model."""
+
+    # (model, m, n, group_order, rank, gsd, k); every case has one relation
+    ZN = [
+        ("zn:4", 2, 2, 4194304, 11, 1024, 5),
+        ("zn:4", 2, 3, 17179869184, 17, 16384, 7),
+        ("zn:4", 3, 3, 4503599627370496, 26, 1048576, 10),
+        ("zn:4", 3, 4, 1180591620717411303424, 35, 67108864, 13),
+        ("zn:4", 4, 4, 19807040628566084398385987584, 47, 17179869184, 17),
+        ("zn:6", 2, 2, 362797056, 11, 7776, 5),
+        ("zn:6", 2, 3, 16926659444736, 17, 279936, 7),
+        ("zn:6", 3, 3, 170581728179578208256, 26, 60466176, 10),
+        ("zn:6", 3, 4, 1719070799748422591028658176, 35, 13060694016, 13),
+        ("zn:6", 4, 4, 3742042951225759540014535187298779136, 47, 16926659444736, 17),
+        ("zn:8", 2, 2, 8589934592, 11, 32768, 5),
+        ("zn:8", 2, 3, 2251799813685248, 17, 2097152, 7),
+        ("zn:8", 3, 3, 302231454903657293676544, 26, 1073741824, 10),
+        ("zn:8", 3, 4, 40564819207303340847894502572032, 35, 549755813888, 13),
+        ("zn:8", 4, 4, 2787593149816327892691964784081045188247552, 47, 2251799813685248, 17),
+        ("zn:9", 2, 2, 31381059609, 11, 59049, 5),
+        ("zn:9", 2, 3, 16677181699666569, 17, 4782969, 7),
+        ("zn:9", 3, 3, 6461081889226673298932241, 26, 3486784401, 10),
+        ("zn:9", 3, 4, 2503155504993241601315571986085849, 35, 2541865828329, 13),
+        ("zn:9", 4, 4, 706965049015104706497203195837614914543357369, 47, 16677181699666569, 17),
+        ("zn:12", 2, 2, 743008370688, 11, 248832, 5),
+        ("zn:12", 2, 3, 2218611106740436992, 17, 35831808, 7),
+        ("zn:12", 3, 3, 11447545997288281555215581184, 26, 61917364224, 10),
+        ("zn:12", 3, 4, 59066822915424320448445358917464096768, 35, 106993205379072, 13),
+        ("zn:12", 4, 4, 526645726273272556326827851582324440099950960836608, 47,
+         2218611106740436992, 17),
+        # int64 edges: 2^28 - 1 = 3 * 5 * 29 * 43 * 113 * 127, and 3^17
+        ("zn:268435455", 2, 2, 268435455**11, 11, 268435455**5, 5),
+        ("zn:129140163", 3, 3, 129140163**26, 26, 129140163**10, 10),
+    ]
+
+    @pytest.mark.parametrize("model_id, m, n, order, rank, g, k", ZN, ids=lambda v: str(v))
+    def test_zn_torus(self, model_id, m, n, order, rank, g, k):
+        sm = model_for(model_id, m=m, n=n)
+        qdim = sm.n
+        expect = dict(n=qdim, sites=4 * m * n, generators=3 * m * n, group_order=order, rank=rank,
+                      relations=1, consistency=True, gsd=g, k=k)
+        assert report(sm) == expect
+        assert report(sm.with_flipped_target(0)) == expect
+        frustrated = dict(expect, consistency=False, gsd=0, k=0)
+        assert report(sm.with_flipped_target(1)) == frustrated
+
+    # (model, m, n, powers, group_order, rank, relations, gsd, k, factors)
+    POWERED = [
+        ("zn:4", 2, 2, {0: 2, 2: 2}, 1048576, None, None, 4096, 6, {2, 4}),
+        ("zn:9", 2, 2, {0: 3, 2: 3}, 3486784401, None, None, 531441, 6, {3, 9}),
+        ("zn:12", 2, 2, {0: 2, 2: 2, 4: 3}, 61917364224, None, None, 2985984, 6, {2, 6, 12}),
+        ("zn:6", 2, 2, {0: 2, 2: 3}, 60466176, 10, 2, 46656, 6, {6}),
+    ]
+
+    @pytest.mark.parametrize("model_id, m, n, powers, order, rank, relations, g, k, factors",
+                             POWERED, ids=lambda v: str(v))
+    def test_smaller_summands(self, model_id, m, n, powers, order, rank, relations, g, k, factors):
+        sm = powered(model_id, m, n, powers)
+        expect = dict(n=sm.n, sites=4 * m * n, generators=3 * m * n, group_order=order, rank=rank,
+                      relations=relations, consistency=True, gsd=g, k=k)
+        assert report(sm) == expect
+        assert set(sm.analysis().factors) == factors
+        # a generator raised to a power below its order now has a relation of its own
+        for i in (0, 1):
+            assert report(sm.with_flipped_target(i)) == dict(expect, consistency=False, gsd=0, k=0)
+
+    # (model, m, n, powers, group_order, relation count, gsd): gsd is no power of n
+    NOT_QUDITS = [
+        ("zn:4", 3, 3, {0: 2, 1: 2}, 2251799813685248, 2, 2097152),
+        ("zn:8", 2, 3, {0: 4, 2: 2, 4: 4}, 70368744177664, 4, 67108864),
+        ("zn:12", 3, 3, {0: 6, 1: 2}, 1907924332881380259202596864, 2, 371504185344),
+        ("zn:6", 2, 2, {0: 2}, 181398528, 2, 15552),
+    ]
+
+    @pytest.mark.parametrize("model_id, m, n, powers, order, relations, g", NOT_QUDITS,
+                             ids=lambda v: str(v))
+    def test_not_a_qudit_power(self, model_id, m, n, powers, order, relations, g):
+        sm = powered(model_id, m, n, powers)
+        group = sm.analysis()
+        assert (group.order, group.rank, len(group.relations)) == (order, None, relations)
+        assert gsd(sm) == g
+        assert gsd(sm.with_flipped_target(0)) == 0
+        with pytest.raises(InvalidModelError, match="qudit power"):
+            report(sm)
+
+
 # at most 1024 amplitudes, so the dense projector product stays small
 MAX_SITES = {2: 10, 3: 6, 4: 5, 6: 3}
 

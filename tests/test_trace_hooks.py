@@ -63,3 +63,19 @@ def test_queries_read_the_table():
     # flips are one product over the exponent table, not one call per generator
     assert tracer.calls["stabilizer.exponent_matrix"] == 1
     assert tracer.calls["paulis.symplectic_phase"] == 0
+
+
+def test_one_smith_form_per_composite_analysis():
+    spans = load_spans()
+    tracer = spans.Tracer()
+    sm = stabilizer.StabilizerModel.from_hamiltonian(build_hamiltonian("zn:6", Lattice("torus", 3, 3)))
+    try:
+        tracer.install()
+        stabilizer.report(sm)
+    finally:
+        tracer.uninstall()
+    # the Z_2 and Z_3 parts run inside the one Smith form, not as traced echelon calls
+    assert tracer.calls["linalg.smith_normal_form"] == 1
+    assert tracer.calls["linalg.row_echelon_mod_p"] == 0
+    metrics = spans.layer_metrics(tracer, [[1.0]], 1.0, 1.0)
+    assert metrics["linalg.eliminations_per_answer"] == 1.0
