@@ -176,19 +176,22 @@ def gsd(m):
 
 
 def logical_qudit_count(m):
-    return _qudit_count(gsd(m), m.n)
-
-
-def _qudit_count(g, n):
+    g = gsd(m)
     if g == 0:
         raise InvalidModelError("frustrated model has no code space")
+    k = _power_of(g, m.n)
+    if k is None:
+        raise InvalidModelError("ground space is not a qudit power")
+    return k
+
+
+def _power_of(g, n):
+    """k with n^k = g for g >= 1, or None when g is no power of n."""
     k = 0
-    while g > 1:
-        if g % n:
-            raise InvalidModelError("ground space is not a qudit power")
+    while g > 1 and g % n == 0:
         g //= n
         k += 1
-    return k
+    return k if g == 1 else None
 
 
 def _exponents(m, *strings):
@@ -280,7 +283,6 @@ class PathSpec:
     """
 
     steps: list
-    closed: bool = False
 
     def validate(self):
         seen = {}
@@ -365,5 +367,5 @@ def report(m):
         "relations": None if group.rank is None else len(group.relations),
         "consistency": g != 0,
         "gsd": g,
-        "k": _qudit_count(g, m.n) if g else 0,
+        "k": _power_of(g, m.n) if g else 0,
     }

@@ -124,10 +124,10 @@ class TestDenseCrossValidation:
         assert abs(tr - expected) < 1e-9
 
     def test_boundary_open_1x2(self):
-        lat = Lattice("open", 1, 2)
-        h = build_hamiltonian("boundary", lat)
-        expected = gsd(StabilizerModel.from_hamiltonian(h))
-        assert ground_space_dimension(h) == expected
+        for lat in (Lattice("open", 1, 2), Lattice("open", 1, 1)):
+            h = build_hamiltonian("boundary", lat)
+            expected = gsd(StabilizerModel.from_hamiltonian(h))
+            assert ground_space_dimension(h) == expected
 
 
 class TestProjectorAlgebra:
@@ -297,21 +297,20 @@ class TestLogicalStructure:
 
     def test_parallel_loops_inequivalent(self, sm):
         lat = sm.lattice
-        a = string_operator(lat, PathSpec([((0, y), "I") for y in range(3)], closed=True))
-        b = string_operator(lat, PathSpec([((1, y), "I") for y in range(3)], closed=True))
+        a = string_operator(lat, PathSpec([((0, y), "I") for y in range(3)]))
+        b = string_operator(lat, PathSpec([((1, y), "I") for y in range(3)]))
         assert is_logical(sm, a) and is_logical(sm, b)
         assert not logically_equivalent(sm, a, b)
 
     def test_deformed_loop_equivalent(self, sm):
         lat = sm.lattice
         straight = string_operator(
-            lat, PathSpec([((0, y), "I") for y in range(3)], closed=True)
+            lat, PathSpec([((0, y), "I") for y in range(3)])
         )
         bent = string_operator(
             lat,
             PathSpec(
-                [((0, 0), "I"), ((0, 1), "II"), ((0, 1), "IV"), ((0, 2), "I")],
-                closed=True,
+                [((0, 0), "I"), ((0, 1), "II"), ((0, 1), "IV"), ((0, 2), "I")]
             ),
         )
         assert logically_equivalent(sm, straight, bent)

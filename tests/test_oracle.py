@@ -17,7 +17,7 @@ from gtoric.oracle import (
     parse_seed_config,
     trace_product,
 )
-from gtoric.paulis import PauliString
+from gtoric.paulis import OperatorSum, PauliString
 
 
 M1_SEED = "all=1 E=2 W=2"  # satisfies every m1 face term
@@ -35,13 +35,13 @@ class TestBudget:
         with pytest.raises(BudgetExceededError):
             ground_space_dimension(spec)
 
-
-    def test_eigensolve_matrix_counts_against_budget(self, monkeypatch):
-        # 256 amplitudes fit, the 65536 entries of the dense Hamiltonian do not
+    def test_count_needs_only_the_product_bound(self, monkeypatch):
+        # 256 amplitudes; the largest product bound is 256 nonzeros times a
+        # four-term projector, and no n^(2 sites) matrix is formed
         spec = build_hamiltonian("boundary", Lattice("open", 1, 1))
-        monkeypatch.setenv("GTORIC_BUDGET", "65536")
+        monkeypatch.setenv("GTORIC_BUDGET", "1024")
         assert ground_space_dimension(spec) == 1
-        monkeypatch.setenv("GTORIC_BUDGET", "65535")
+        monkeypatch.setenv("GTORIC_BUDGET", "1023")
         with pytest.raises(BudgetExceededError):
             ground_space_dimension(spec)
 
@@ -59,6 +59,22 @@ class TestGroundSpace:
     def test_boundary_1x2(self):
         spec = build_hamiltonian("boundary", Lattice("open", 1, 2))
         assert ground_space_dimension(spec) == 1
+
+    @pytest.mark.parametrize("model, spec", [("m1", ("torus", 2, 2)), ("boundary", ("open", 1, 1))])
+    def test_each_term_realized_once(self, monkeypatch, model, spec):
+        # the trace and the probes share one sparse matrix per term
+        h = build_hamiltonian(model, Lattice(*spec))
+        calls = {"sparse_matrix": 0, "apply": 0}
+        for name in calls:
+            method = getattr(OperatorSum, name)
+
+            def counted(self, *args, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(OperatorSum, name, counted)
+        ground_space_dimension(h)
+        assert calls == {"sparse_matrix": len(h.terms), "apply": 0}
 
 
 class TestExactZeros:

@@ -26,6 +26,7 @@ from gtoric.stabilizer import (
     in_stabilizer_group,
     is_logical,
     logical_basis,
+    logical_qudit_count,
     logically_equivalent,
     phase_consistent,
     report,
@@ -307,8 +308,11 @@ class TestCompositeReports:
         assert (group.order, group.rank, len(group.relations)) == (order, None, relations)
         assert gsd(sm) == g
         assert gsd(sm.with_flipped_target(0)) == 0
+        # the summary reports no k, as it reports no rank for a group not free over Z_n
+        assert report(sm) == dict(n=sm.n, sites=4 * m * n, generators=3 * m * n, group_order=order,
+                                  rank=None, relations=None, consistency=True, gsd=g, k=None)
         with pytest.raises(InvalidModelError, match="qudit power"):
-            report(sm)
+            logical_qudit_count(sm)
 
 
 # at most 1024 amplitudes, so the dense projector product stays small
@@ -603,7 +607,7 @@ class TestStringOperators:
     def test_closed_column_is_logical(self):
         sm = model_for("m1", m=2, n=3)
         lat = sm.lattice
-        path = PathSpec([((0, y), "I") for y in range(3)], closed=True)
+        path = PathSpec([((0, y), "I") for y in range(3)])
         loop = string_operator(lat, path, 2)
         assert syndrome(sm, loop).energy == 0
         assert is_logical(sm, loop) == "logical"
@@ -611,9 +615,9 @@ class TestStringOperators:
     def test_deformed_loop_equivalent(self):
         sm = model_for("m1", m=2, n=3)
         lat = sm.lattice
-        plain = string_operator(lat, PathSpec([((0, y), "I") for y in range(3)], closed=True), 2)
+        plain = string_operator(lat, PathSpec([((0, y), "I") for y in range(3)]), 2)
         detour_steps = [((0, 0), "I"), ((0, 1), "II"), ((0, 1), "IV"), ((0, 2), "I")]
-        detour = string_operator(lat, PathSpec(detour_steps, closed=True), 2)
+        detour = string_operator(lat, PathSpec(detour_steps), 2)
         assert is_logical(sm, detour) == "logical"
         assert logically_equivalent(sm, plain, detour)
 
@@ -628,9 +632,9 @@ class TestStringOperators:
 
     def test_invalid_paths(self):
         with pytest.raises(InvalidPathError):
-            PathSpec([((0, 0), "III"), ((0, 0), "IV")], closed=False).validate()
+            PathSpec([((0, 0), "III"), ((0, 0), "IV")]).validate()
         with pytest.raises(InvalidPathError):
-            PathSpec([((0, 0), "I"), ((0, 0), "I")], closed=False).validate()
+            PathSpec([((0, 0), "I"), ((0, 0), "I")]).validate()
 
 
 class TestConfinement:
