@@ -11,16 +11,32 @@ the term projectors, each term realized once as a sparse matrix; the same
 matrices then verify on random probes that the product is an exact projector
 onto the lowest eigenspace.
 
+The product is formed on a sector S of the basis only.  A term's x-free
+rows sum to a diagonal d, evaluated on the term's local configurations.  The
+term confines S to the states where d != 0 when (a) each x-free row commutes
+with every row of every term, and (b) the term is zero on every column where
+d = 0.  Then the projector D onto d != 0 commutes with every term and
+D P = P D = P for the product P, so Tr P = Tr (D P D), exactly, for any
+list of OperatorSums; a term that fails (a) or (b) confines nothing.  S is
+found by evaluating the terms, never from the stabilizer engine, and is
+enumerated by joining the terms' allowed local configurations, so only an S
+that is the whole basis takes an array of all n^sites states.  On m1
+torus:2x2, S holds 512 of 65,536 states.
+
 Matrices are realized from phases that ``paulis._roots`` makes exact where
 they can be: for n = 2, and for n = 4 projectors, every root of unity is
 exactly +-1 or +-i, so projector cancellations are exact zeros and the
-running product stores only its true nonzeros (on m1 torus:2x2 at most
-65,536 of 2^32 entries, and 8,192 at the end).  No tolerance cut is
-applied; for other n the entries carry ordinary round-off.
+running product stores only its true nonzeros: on m1 torus:2x2 at most
+8,192, its final count, and on the 8,192-state sector of m1 torus:3x2 at
+most 524,288.  No tolerance cut is applied to the matrices; for other n the
+entries carry ordinary round-off.  The count logs its sector size, the
+running product's peak nonzeros and its largest probe residual at DEBUG
+level on the ``gtoric.oracle`` logger.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 
 import numpy as np
@@ -31,6 +47,8 @@ DEFAULT_BUDGET = 2**24
 # so 0 labels every count the trace path
 DENSE_EIG_DIM = 0
 TOL = 1e-10
+
+log = logging.getLogger(__name__)
 
 
 class BudgetExceededError(MemoryError):
@@ -79,22 +97,79 @@ def trace_product(terms, lat, n):
     return float(tr.real)
 
 
+def _sector(opsums):
+    """The sorted basis states that every certified diagonal keeps, or None
+    if no OperatorSum constrains them.
+
+    An OperatorSum's x-free rows sum to a diagonal d, evaluated on the sum's
+    local configurations.  It is certified when (a) each of those rows
+    commutes with every row of every sum, so d is constant along every X
+    shift that any sum makes, and (b) the sum is zero on every column where
+    d is.  Then the projector D onto ``d != 0`` commutes with every sum,
+    and the sum equals itself times D, so the ordered product P satisfies
+    P = D P D.  A configuration counts as ``d = 0`` when |d| is at most 1e-12
+    times the sum's coefficient mass, which leaves the round-off of an exact
+    cancellation out of the sector."""
+    from .paulis import _digit_table
+
+    if not opsums:
+        return None
+    n, nsites = opsums[0].n, opsums[0].nsites
+    shifts = np.unique(np.concatenate([op.x for op in opsums]), axis=0)
+    allowed = []
+    for op in opsums:
+        zrows = op.z[~op.x.any(axis=1)]
+        if ((zrows @ shifts.T) % n).any():  # (a)
+            continue
+        sites, runs = op._local
+        cut = 1e-12 * np.abs(op.coeffs).sum()
+        diag = next((v for shift, v in runs if not shift.any()), np.zeros(n ** len(sites)))
+        keep = np.abs(diag) > cut
+        if keep.all() or any((np.abs(v[~keep]) > cut).any() for _, v in runs):  # (b)
+            continue
+        allowed.append((sites, keep))
+    if not allowed:
+        return None
+    def spread(states, sites):  # every digit on each of the sites
+        for s in sites:
+            states = (states[:, None] + np.arange(n) * n ** (nsites - 1 - s)).ravel()
+        return states
+
+    # join the allowed local configurations, adding first the sum whose sites
+    # are most covered already: each new site multiplies the partial states
+    # by n before the sum's configurations filter them
+    covered = np.zeros(nsites, dtype=bool)
+    states = np.zeros(1, dtype=np.int64)
+    while allowed:
+        sites, keep = allowed.pop(
+            min(range(len(allowed)), key=lambda i: np.count_nonzero(~covered[allowed[i][0]]))
+        )
+        states = spread(states, sites[~covered[sites]])
+        covered[sites] = True
+        states = states[keep[_digit_table(n, nsites, sites, states)]]
+    return np.sort(spread(states, np.flatnonzero(~covered)))
+
+
 def _products(opsums, dim):
-    """Each OperatorSum's sparse matrix on ``dim`` amplitudes, with the
-    running product of the matrices so far, checked against the budget
-    before each is realized."""
+    """Each OperatorSum's sparse matrix on the sector of ``_sector`` (all
+    ``dim`` amplitudes if nothing constrains it), with the running product of
+    the matrices so far, checked against the budget before each is
+    realized."""
+    opsums = list(opsums)
+    states = _sector(opsums)
+    size = dim if states is None else len(states)
     acc = None
     for op in opsums:
         # each Pauli term of op puts at most one nonzero in a column
-        _check_nonzeros((dim if acc is None else acc.nnz) * len(op.coeffs))
-        mat = op.sparse_matrix()
+        _check_nonzeros((size if acc is None else acc.nnz) * len(op.coeffs))
+        mat = op.sparse_matrix(states)
         acc = mat if acc is None else acc @ mat
         yield mat, acc
 
 
 def _product_trace(opsums, dim):
-    """Sparse matrix of the ordered product of OperatorSums on ``dim``
-    amplitudes (None if there are none) and its trace."""
+    """Sparse matrix of the ordered product of OperatorSums on their sector
+    (None if there are none) and its trace."""
     acc = None
     for _, acc in _products(opsums, dim):
         pass
@@ -107,22 +182,37 @@ def ground_space_dimension(h):
     projector onto that eigenspace."""
     dim = _check_budget(h.n, h.lattice.n_sites)
     mats = []
+    peak = 0
     for mat, proj in _products((t.opsum for t in h.terms), dim):
         mats.append(mat)
+        peak = max(peak, proj.nnz)
     tr = complex(proj.diagonal().sum())
     count = int(round(tr.real))
     if abs(tr - count) > 1e-6:
         raise AssertionError(f"projector trace {tr} is not an integer")
-    # verify idempotence and the eigenspace property on random probes
+    # verify idempotence and the eigenspace property on random probes; a
+    # residual is relative to 1 + |Pv| and must stay within 1e-6
     rng = np.random.default_rng(7)
+    residual = 0.0
     for _ in range(3):
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        v = rng.normal(size=proj.shape[0]) + 1j * rng.normal(size=proj.shape[0])
         pv = proj @ v
-        if np.linalg.norm(proj @ pv - pv) > 1e-6 * (1 + np.linalg.norm(pv)):
+        scale = 1 + np.linalg.norm(pv)
+        idem = np.linalg.norm(proj @ pv - pv) / scale
+        if idem > 1e-6:
             raise AssertionError("term product is not a projector")
         hv = sum(-(m @ pv) for m in mats)
-        if np.linalg.norm(hv - (-len(mats)) * pv) > 1e-6 * (1 + np.linalg.norm(pv)):
+        eigen = np.linalg.norm(hv - (-len(mats)) * pv) / scale
+        if eigen > 1e-6:
             raise AssertionError("projector image is not the lowest eigenspace")
+        residual = max(residual, idem, eigen)
+    stats = {"sector": proj.shape[0], "states": dim, "peak_nnz": peak, "residual": residual}
+    log.debug(
+        "ground_space_dimension: sector %(sector)d of %(states)d states, peak product "
+        "nnz %(peak_nnz)d, largest probe residual %(residual).3g",
+        stats,
+        extra=stats,
+    )
     return count
 
 

@@ -152,11 +152,18 @@ def order_divides_n(s):
 # -- dense / sparse realization and state application ------------------------
 
 
-def _digit_table(n, nsites, sites):
-    """Per basis state, its digits on ``sites`` read as one base-n number, the
-    first site most significant (digit d in 0..n-1 stands for level label
-    d+1).  The number is formed on a grid with one axis per site, of length n
-    on the given sites and 1 elsewhere, and spread over the basis once."""
+def _digit_table(n, nsites, sites, states=None):
+    """Per basis state (all n^nsites of them by default), its digits on
+    ``sites`` read as one base-n number, the first site most significant
+    (digit d in 0..n-1 stands for level label d+1).  For all states the number
+    is formed on a grid with one axis per site, of length n on the given sites
+    and 1 elsewhere, and spread over the basis once; for given states it is
+    read off their indices, site by site."""
+    if states is not None:
+        code = np.zeros(len(states), dtype=np.int64)
+        for s in sites:
+            code = code * n + states // n ** (nsites - 1 - s) % n
+        return code
     code = np.zeros((1,) * nsites, dtype=np.int64)
     for k, s in enumerate(sites):
         axis = [1] * nsites
@@ -386,28 +393,41 @@ class OperatorSum:
             runs.append((shift, values))
         return sites, runs
 
-    def _columns(self):
+    def _columns(self, states=None):
         """Yield ``(rows, values)`` per run of terms with equal X exponents:
-        the run's matrix is ``M[rows[i], i] = values[i]``.  A Pauli term puts
-        one entry in each column, at a row fixed by its X exponents alone."""
+        on the column of basis state ``states[i]`` (all states, in order, by
+        default) the run's one entry is ``values[i]``, in the row of basis
+        state ``rows[i]``.  A Pauli term puts one entry in each column, at a
+        row fixed by its X exponents alone."""
         sites, runs = self._local
-        code = _digit_table(self.n, self.nsites, sites)
-        base = np.arange(self.n**self.nsites)
+        code = _digit_table(self.n, self.nsites, sites, states)
+        base = np.arange(self.n**self.nsites) if states is None else states
         for shift, values in runs:
             yield base + shift[code], values[code]
 
-    def sparse_matrix(self):
-        """CSR matrix of the sum, built in one pass: the entries of the runs
-        of ``_columns()`` are stacked column by column as CSC arrays."""
-        dim = self.n**self.nsites
+    def sparse_matrix(self, states=None):
+        """CSR matrix of the sum on the span of the sorted basis ``states``
+        (all of them by default), built in one pass: the nonzero entries of
+        the runs of ``_columns()`` are stacked column by column as CSC
+        arrays, and each row is then mapped to its position in ``states``.
+        A nonzero entry in a row outside ``states`` raises AssertionError:
+        the states must span a space that the sum maps into itself."""
+        dim = self.n**self.nsites if states is None else len(states)
         _check_nonzeros(dim * len(self.coeffs))
-        groups = list(self._columns())
+        groups = list(self._columns(states))
         if not groups:
             return sp.csr_matrix((dim, dim), dtype=complex)
-        rows, vals = (np.stack(arrays, axis=1).ravel() for arrays in zip(*groups))
-        mat = sp.csc_matrix((vals, rows, np.arange(dim + 1) * len(groups)), shape=(dim, dim))
-        mat.eliminate_zeros()
-        return mat.tocsr()
+        rows, vals = (np.stack(arrays, axis=1) for arrays in zip(*groups))
+        keep = vals != 0
+        indptr = np.zeros(dim + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+        rows, vals = rows[keep], vals[keep]
+        if states is not None:
+            pos = np.minimum(np.searchsorted(states, rows), dim - 1)
+            if not np.array_equal(states[pos], rows):
+                raise AssertionError("a nonzero entry leaves the given states")
+            rows = pos
+        return sp.csc_matrix((vals, rows, indptr), shape=(dim, dim)).tocsr()
 
     def dense_matrix(self):
         """Dense matrix of the sum; its n^(2 nsites) entries count against

@@ -174,9 +174,10 @@ class TestGsd:
 
     def test_sparse_product_over_budget(self, runner):
         # 2^24 amplitudes fit the default budget; the projector product's
-        # fill-in does not, and is refused before it is formed
+        # fill-in on the 2^18-state sector does not, and is refused before
+        # it is formed
         res = runner.invoke(
-            main, ["gsd", "--model", "boundary", "--lattice", "open:2x2", "--method", "both"]
+            main, ["gsd", "--model", "m3exp", "--lattice", "torus:3x2", "--method", "both"]
         )
         assert res.exit_code == 2
         assert "budget" in res.output

@@ -1,10 +1,16 @@
 """Dense/sparse exact-diagonalization oracle on small lattices."""
 
+import logging
+import operator
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gtoric import oracle
-from gtoric.catalog import build_hamiltonian
+from gtoric import oracle, stabilizer
+from gtoric.catalog import build_hamiltonian, cyclic_projector, ketbra, level_projector
 from gtoric.lattice import Lattice
 from gtoric.oracle import (
     BudgetExceededError,
@@ -36,12 +42,13 @@ class TestBudget:
             ground_space_dimension(spec)
 
     def test_count_needs_only_the_product_bound(self, monkeypatch):
-        # 256 amplitudes; the largest product bound is 256 nonzeros times a
-        # four-term projector, and no n^(2 sites) matrix is formed
+        # 256 amplitudes, 16 of them in the sector; the largest product bound
+        # is the running product's 128 nonzeros times a four-term projector,
+        # and no n^(2 sites) matrix is formed
         spec = build_hamiltonian("boundary", Lattice("open", 1, 1))
-        monkeypatch.setenv("GTORIC_BUDGET", "1024")
+        monkeypatch.setenv("GTORIC_BUDGET", "512")
         assert ground_space_dimension(spec) == 1
-        monkeypatch.setenv("GTORIC_BUDGET", "1023")
+        monkeypatch.setenv("GTORIC_BUDGET", "511")
         with pytest.raises(BudgetExceededError):
             ground_space_dimension(spec)
 
@@ -179,3 +186,103 @@ class TestAdjacentCommutation:
             for j in range(i + 1, len(terms)):
                 comm = terms[i].commutator(terms[j])
                 assert comm.is_zero(1e-10)
+
+
+class TestSecondSize:
+    """The paper's 2·2^{N_v} count at N_v = 6, checked densely on the sector."""
+
+    @pytest.mark.parametrize("model, spec, count", [
+        ("m1", ("torus", 3, 2), 128), ("boundary", ("open", 2, 2), 4),
+    ])
+    def test_dense_count_matches_engine(self, model, spec, count):
+        h = build_hamiltonian(model, Lattice(*spec))
+        assert ground_space_dimension(h) == count
+        assert trace_product([t.opsum for t in h.terms], h.lattice, h.n) == count
+        assert stabilizer.gsd(stabilizer.StabilizerModel.from_hamiltonian(h)) == count
+
+
+def sector_factor(draw, n, nsites):
+    """A cyclic projector of a random string, a |i><j| on one site, a bare
+    string, or a clock projector on one site, which keeps part of the basis."""
+    kind = draw(st.sampled_from(["projector", "ketbra", "string", "level"]))
+    site = draw(st.integers(0, nsites - 1))
+    if kind == "ketbra":
+        return ketbra(n, nsites, site, draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
+    if kind == "level":
+        return level_projector(n, nsites, site, draw(st.integers(0, n - 1)))
+    exps = st.lists(st.integers(0, n - 1), min_size=nsites, max_size=nsites)
+    x = draw(exps) if draw(st.booleans()) else [0] * nsites
+    p = PauliString(n, x, draw(exps))
+    if kind == "string":
+        return OperatorSum.from_pauli(PauliString(n, p.x, p.z, draw(st.integers(0, 2 * n - 1))))
+    # the phase's parity cancels the residue of p^n, so the projector is defined
+    s = PauliString(n, p.x, p.z, 2 * draw(st.integers(0, n - 1)) + (p**n).phase // n)
+    return cyclic_projector(s, draw(st.integers(0, n - 1)))
+
+
+@st.composite
+def factor_lists(draw):
+    n = draw(st.sampled_from([2, 3, 4]))
+    nsites = draw(st.integers(1, 4 if n == 2 else 3))
+    return [sector_factor(draw, n, nsites) for _ in range(draw(st.integers(1, 5)))]
+
+
+def dense_trace(ops):
+    return np.trace(reduce(operator.matmul, (op.dense_matrix() for op in ops)))
+
+
+class TestSectorTrace:
+    """The trace on the sector equals the trace of the full dense product."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(factor_lists())
+    def test_equals_dense_product(self, ops):
+        dim = ops[0].n ** ops[0].nsites
+        _, tr = oracle._product_trace(ops, dim)
+        assert tr == pytest.approx(dense_trace(ops), abs=1e-9)
+
+    def test_frustrated_targets_leave_no_sector(self):
+        ops = [level_projector(3, 2, 0, 1), cyclic_projector(
+            PauliString.from_ops(3, 2, x_at={1: 1}), 0), level_projector(3, 2, 0, 2)]
+        assert len(oracle._sector(ops)) == 0
+        _, tr = oracle._product_trace(ops, 9)
+        assert tr == 0
+        assert dense_trace(ops) == pytest.approx(0, abs=1e-12)
+
+    def test_sector_shrinks(self):
+        # Z on site 0 commutes with X on site 1: the clock projector is certified
+        x1 = PauliString.from_ops(4, 2, x_at={1: 1})
+        ops = [cyclic_projector(x1, 1), level_projector(4, 2, 0, 3), ketbra(4, 2, 1, 0, 2)]
+        assert oracle._sector(ops).tolist() == [8, 9, 10, 11]  # site 0 at level 3
+        _, tr = oracle._product_trace(ops, 16)
+        assert tr == pytest.approx(dense_trace(ops), abs=1e-12)
+
+    def test_uncertified_diagonal_adds_no_constraint(self):
+        # (a) fails: the clock projector does not commute with X on its site;
+        # (b) fails: the clock projector plus X on site 1 is nonzero where its
+        # diagonal vanishes
+        x0 = PauliString.from_ops(2, 2, x_at={0: 1})
+        x1 = OperatorSum.from_pauli(PauliString.from_ops(2, 2, x_at={1: 1}))
+        assert oracle._sector([level_projector(2, 2, 0, 1), cyclic_projector(x0, 0)]) is None
+        assert oracle._sector([level_projector(2, 2, 0, 1) + x1]) is None
+
+    def test_entry_outside_the_states_raises(self):
+        x0 = OperatorSum.from_pauli(PauliString.from_ops(2, 2, x_at={0: 1}))
+        assert x0.sparse_matrix(np.array([0, 2])).nnz == 2
+        with pytest.raises(AssertionError):
+            x0.sparse_matrix(np.array([0, 1]))
+
+
+class TestLogging:
+    def test_count_reports_sector_and_residual(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="gtoric.oracle")
+        ground_space_dimension(build_hamiltonian("m1", Lattice("torus", 2, 2)))
+        [rec] = [r for r in caplog.records if r.name == "gtoric.oracle"]
+        assert rec.levelno == logging.DEBUG
+        assert (rec.sector, rec.states, rec.peak_nnz) == (512, 65536, 8192)
+        assert 0 <= rec.residual < 1e-12
+        assert "sector 512 of 65536 states" in rec.getMessage()
+
+    def test_silent_by_default(self, capfd):
+        ground_space_dimension(build_hamiltonian("boundary", Lattice("open", 1, 1)))
+        assert capfd.readouterr() == ("", "")
