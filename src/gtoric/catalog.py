@@ -7,6 +7,15 @@ for a Pauli string ``S`` and a target eigenvalue exponent ``t``.  A term
 stores only its ``(S, t)`` factor pairs; the stabilizer engine reads them
 directly, and the expanded operator is built from them on first read.
 
+A model is declared in ``TORUS_MODELS`` as its vertex and face factors, each
+a pure X or Z string given by site offsets and exponents.
+``build_hamiltonian`` writes a factor for all vertices or all faces at once
+by indexing the lattice's site-index array, and every generator of the model
+lands in one ``PauliTable`` (``HamiltonianSpec.table``); the terms' strings
+are read-only views of its rows.  The per-site helpers below
+(``vertex_corner_string``, ``face_corner_string``, the projector families)
+build single strings for the symbolic checks.
+
 Basis/label conventions (see :mod:`gtoric.paulis`): site levels are labelled
 1..n with ``|0> == |n>`` and ``Z|i> = w_n^i |i>``.  An edge morphism x_ij is
 encoded as the pair (tail digit i, head digit j) on the edge's two sites.
@@ -21,8 +30,8 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .groupoids import SisGroupoid, ZERO
-from .lattice import Lattice
-from .paulis import OperatorSum, PauliString, _cmul, _roots, order_divides_n, pauli_to_text
+from .lattice import DIRECTIONS, FACE_CORNERS, FACE_NONSW, Lattice
+from .paulis import OperatorSum, PauliString, PauliTable, _cmul, _roots, order_divides_n, pauli_to_text
 
 MODEL_IDS = ("m1", "m2", "m3exp", "mhoriz", "mvert", "mnondeg", "zn", "boundary")
 
@@ -169,8 +178,8 @@ def _x_string(lat, n, sites):
 
 def vertex_corner_string(lat, v, corner, n):
     """The two-site Z check of one vertex corner (NW, SW or SE)."""
-    dirs, exps = zip(*VERTEX_CORNER_STRINGS[corner])
-    return _vertex_z_check(lat, v, n, dirs, exps)
+    x, y = v
+    return _z_string(lat, n, [(lat.site(x, y, d), e) for d, e in VERTEX_CORNER_STRINGS[corner]])
 
 
 def vertex_projector_family(lat, v, n=2):
@@ -249,6 +258,8 @@ class HamiltonianSpec:
     lattice: Lattice
     n: int
     terms: list = field(default_factory=list)
+    # the terms' factor strings, in order, as one table (None: stacked from the strings on use)
+    table: PauliTable = None
 
     def term_counts(self):
         counts = {}
@@ -281,23 +292,52 @@ class HamiltonianSpec:
         }
 
 
-def _six_site_face_string(lat, f, n, alternating):
-    """Z string on the six face-corner sites away from the SW corner.
-
-    With ``alternating`` the exponents alternate -1, +1 clockwise from the
-    SE corner's W site (the general-n pattern); otherwise all exponents are 1.
-    """
-    sites = lat.face_nonsw_sites(f)
-    if alternating:
-        exps = [-1, 1, -1, 1, -1, 1]
-    else:
-        exps = [1] * 6
-    return _z_string(lat, n, list(zip(sites, exps)))
+# A factor is (pauli, offsets, exponents, target): a pure "x" or "z" string
+# with one exponent at each offset (dx, dy, direction code) from a term's
+# vertex or from its face's SW vertex.
 
 
-def _vertex_z_check(lat, v, n, dirs, exps):
-    x, y = v
-    return _z_string(lat, n, [(lat.site(x, y, d), e) for d, e in zip(dirs, exps)])
+def _factor(pauli, placements, exps, target=0):
+    offsets = np.array([(dx, dy, DIRECTIONS.index(d)) for dx, dy, d in placements])
+    return pauli, offsets, np.array(exps), target
+
+
+def _vertex_z(dirs, exps=(1, 1), target=0):
+    return _factor("z", [(0, 0, d) for d in dirs], exps, target)
+
+
+def _face_corner(corner):
+    return _factor("z", FACE_CORNERS[corner], FACE_CORNER_EXPONENTS[corner])
+
+
+_VERTEX_X = _factor("x", [(0, 0, d) for d in DIRECTIONS], (1,) * 4)
+
+# model -> (vertex factors, face factors).  m1's targets are n // 2 = 1, the
+# -1 eigenvalue; the six-site face string alternates -1, +1 for general n.
+TORUS_MODELS = {
+    "m1": ((_VERTEX_X, _vertex_z("EN", target=1)), (_factor("z", FACE_NONSW, (1,) * 6, target=1),)),
+    "m2": ((_VERTEX_X, _vertex_z("EN")), (_factor("z", FACE_NONSW, (1,) * 6),)),
+    "m3exp": ((_VERTEX_X, _vertex_z("WS")), (_face_corner("NE"),)),
+    "mhoriz": ((_VERTEX_X, _vertex_z("WE")),
+               (_factor("z", FACE_CORNERS["NE"] + FACE_CORNERS["NW"], (1,) * 4),)),
+    "mvert": ((_VERTEX_X, _vertex_z("SN")),
+              (_factor("z", FACE_CORNERS["SE"] + FACE_CORNERS["NE"], (1,) * 4),)),
+    "mnondeg": (
+        (_VERTEX_X,) + tuple(_vertex_z(*zip(*VERTEX_CORNER_STRINGS[c])) for c in ("NW", "SW", "SE")),
+        tuple(_face_corner(c) for c in ("NW", "NE", "SE", "SW")),
+    ),
+    "zn": ((_VERTEX_X, _vertex_z("NE", (-1, 1))), (_factor("z", FACE_NONSW, (-1, 1) * 3),)),
+}
+
+
+def _placed(lat, anchors, factor):
+    """A factor at every anchor as (pauli, sites, exponents, target): sites
+    is (anchors, placements) site indices, -1 where a site is missing."""
+    pauli, offsets, exps, target = factor
+    dx, dy, code = offsets.T
+    x = (anchors[:, :1] + dx) % lat.vx_range
+    y = (anchors[:, 1:] + dy) % lat.vy_range
+    return pauli, lat.index[x, y, code], exps, target
 
 
 def build_hamiltonian(model, lat, n=2):
@@ -305,6 +345,9 @@ def build_hamiltonian(model, lat, n=2):
 
     ``model`` is a model-id string ('m1' ... 'mnondeg', 'zn:N', 'boundary').
     All torus models live on the torus; 'boundary' needs the open topology.
+    Every generator of every term is written at once into one
+    ``PauliTable``, a factor at a time over all vertices or all faces, by
+    indexing ``lat.index``; the terms' strings are views of its rows.
     """
     if isinstance(model, str):
         model, model_n = parse_model_id(model)
@@ -315,89 +358,63 @@ def build_hamiltonian(model, lat, n=2):
             raise ValueError("the boundary model needs an open lattice")
         if n != 2:
             raise ValueError("the boundary model is a two-level model")
-        return _build_boundary(lat)
+        return _write(HamiltonianSpec("boundary", lat, n), _boundary_families(lat))
     if lat.topology != "torus":
         raise ValueError(f"model {model!r} needs a torus")
     if model != "zn" and n != 2:
         raise ValueError(f"model {model!r} is a two-level model")
-
+    if model not in TORUS_MODELS:
+        raise ValueError(f"unknown model {model!r}")
     spec = HamiltonianSpec(model if model != "zn" else f"zn:{n}", lat, n)
-    half = n // 2  # exponent of the -1 eigenvalue target for even n
-
-    for v in lat.vertices():
-        x4 = _x_string(lat, n, lat.vertex_sites(v))
-        if model == "m1":
-            factors = [(x4, 0), (_vertex_z_check(lat, v, n, "EN", (1, 1)), half)]
-        elif model == "m2":
-            factors = [(x4, 0), (_vertex_z_check(lat, v, n, "EN", (1, 1)), 0)]
-        elif model == "m3exp":
-            factors = [(x4, 0), (_vertex_z_check(lat, v, n, "WS", (1, 1)), 0)]
-        elif model == "mhoriz":
-            factors = [(x4, 0), (_vertex_z_check(lat, v, n, "WE", (1, 1)), 0)]
-        elif model == "mvert":
-            factors = [(x4, 0), (_vertex_z_check(lat, v, n, "SN", (1, 1)), 0)]
-        elif model == "mnondeg":
-            factors = [(x4, 0)] + [
-                (vertex_corner_string(lat, v, c, n), 0) for c in ("NW", "SW", "SE")
-            ]
-        elif model == "zn":
-            factors = [(x4, 0), (_vertex_z_check(lat, v, n, "NE", (-1, 1)), 0)]
-        else:
-            raise ValueError(f"unknown model {model!r}")
-        spec.terms.append(Term("vertex", v, factors))
-
-    for f in lat.faces():
-        x, y = f
-        if model == "m1":
-            factors = [(_six_site_face_string(lat, f, n, alternating=False), half)]
-        elif model == "m2":
-            factors = [(_six_site_face_string(lat, f, n, alternating=False), 0)]
-        elif model == "m3exp":
-            factors = [(face_corner_string(lat, f, "NE", n), 0)]
-        elif model == "mhoriz":
-            ne = lat.face_corner_sites(f, "NE")
-            nw = lat.face_corner_sites(f, "NW")
-            factors = [(_z_string(lat, n, [(s, 1) for s in ne + nw]), 0)]
-        elif model == "mvert":
-            se = lat.face_corner_sites(f, "SE")
-            ne = lat.face_corner_sites(f, "NE")
-            factors = [(_z_string(lat, n, [(s, 1) for s in se + ne]), 0)]
-        elif model == "mnondeg":
-            factors = [(face_corner_string(lat, f, c, n), 0) for c in ("NW", "NE", "SE", "SW")]
-        elif model == "zn":
-            factors = [(_six_site_face_string(lat, f, n, alternating=True), 0)]
-        spec.terms.append(Term("face", f, factors))
-
-    return spec
+    families = []
+    vertex_factors, face_factors = TORUS_MODELS[model]
+    for kind, locations, factors in (("vertex", lat.vertices(), vertex_factors),
+                                     ("face", lat.faces(), face_factors)):
+        anchors = np.array(locations)
+        families.append(([kind] * len(locations), locations, [_placed(lat, anchors, f) for f in factors]))
+    return _write(spec, families)
 
 
-def _build_boundary(lat):
+def _boundary_families(lat):
     """Open-lattice model: bulk terms as in model m1, three-site boundary
-    vertex checks and two-site corner checks along the smooth boundary."""
-    n = 2
-    spec = HamiltonianSpec("boundary", lat, n)
-    for v in lat.vertices():
-        dirs = lat.vertex_directions(v)
-        sites = lat.vertex_sites(v)
-        x_all = _x_string(lat, n, sites)
-        if len(dirs) == 4:
-            factors = [(x_all, 0), (_vertex_z_check(lat, v, n, "EN", (1, 1)), 1)]
-            kind = "vertex"
-        elif len(dirs) == 3:
-            # Z check on the two collinear sites, skipping the stem
-            if "N" not in dirs or "S" not in dirs:
-                zdirs = "WE"
-            else:
-                zdirs = "SN"
-            factors = [(x_all, 0), (_vertex_z_check(lat, v, n, zdirs, (1, 1)), 1)]
-            kind = "boundary-vertex"
-        else:
-            factors = [(x_all, 0), (_vertex_z_check(lat, v, n, dirs, (1, 1)), 1)]
-            kind = "corner-vertex"
-        spec.terms.append(Term(kind, v, factors))
-    for f in lat.faces():
-        factors = [(_six_site_face_string(lat, f, n, alternating=False), 1)]
-        spec.terms.append(Term("face", f, factors))
+    vertex checks and two-site corner checks along the smooth boundary.
+    A vertex's Z check takes E and N at valence 4, the two collinear sites
+    at valence 3 and both sites at valence 2."""
+    vertices = lat.vertices()
+    anchors = np.array(vertices)
+    sites = lat.index[anchors[:, 0], anchors[:, 1]]  # W, N, E, S
+    present = sites >= 0
+    valence = present.sum(axis=1)[:, None]
+    collinear = present & present[:, [2, 3, 0, 1]]  # the sites whose opposite site is there too
+    check = np.where(valence == 4, [False, True, True, False], np.where(valence == 3, collinear, present))
+    kinds = [{4: "vertex", 3: "boundary-vertex"}.get(k, "corner-vertex") for k in valence.ravel().tolist()]
+    ones = np.ones(4, dtype=np.int64)
+    vertex = [("x", sites, ones, 0), ("z", np.where(check, sites, -1), ones, 1)]
+    faces = lat.faces()
+    face = [_placed(lat, np.array(faces), f) for f in TORUS_MODELS["m1"][1]]
+    return [(kinds, vertices, vertex), (["face"] * len(faces), faces, face)]
+
+
+def _write(spec, families):
+    """Write the families' generators into the spec's table and make its
+    terms.  A family is (kinds, locations, factors), one kind and location
+    per term; its factors come from ``_placed``, and term t's factor k is
+    generator ``start + t * len(factors) + k``."""
+    placements = {"x": [], "z": []}
+    start = 0
+    for _, locations, factors in families:
+        first = start + len(factors) * np.arange(len(locations))
+        for k, (pauli, sites, exps, _) in enumerate(factors):
+            term, place = np.nonzero(sites >= 0)
+            placements[pauli].append((first[term] + k, sites[term, place], exps[place]))
+        start += len(factors) * len(locations)
+    xs, zs = ([np.concatenate(a) for a in zip(*placements[p])] for p in ("x", "z"))
+    spec.table = PauliTable(spec.n, spec.lattice.n_sites, start, xs, zs)
+    strings = iter(spec.table.strings())
+    for kinds, locations, factors in families:
+        targets = [target for *_, target in factors]
+        for kind, location in zip(kinds, locations):
+            spec.terms.append(Term(kind, location, [(next(strings), t) for t in targets]))
     return spec
 
 

@@ -15,7 +15,11 @@ Supported topologies:
 
 Site linear indexing is row-major over vertices (y, then x) with the fixed
 direction order W, N, E, S; this ordering defines the qudit positions used
-by every operator in the package.
+by every operator in the package.  ``Lattice.index[x, y, d]`` holds it as
+one dense array, -1 where an open lattice has no site; ``site_index`` reads
+it, and the catalog indexes it with whole arrays of vertices at once.
+``FACE_CORNERS`` and ``FACE_NONSW`` give the face-corner sites as offsets
+from a face's SW vertex, for both.
 
 The holonomy of a face is read clockwise starting from its SW vertex.
 """
@@ -24,8 +28,22 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 DIRECTIONS = ("W", "N", "E", "S")
+_DIRECTION_CODE = {d: i for i, d in enumerate(DIRECTIONS)}
+
+# face-corner site pairs as (dx, dy, direction) offsets from the face's SW vertex
+FACE_CORNERS = {
+    "NW": ((0, 1, "E"), (0, 1, "S")),
+    "NE": ((1, 1, "W"), (1, 1, "S")),
+    "SE": ((1, 0, "N"), (1, 0, "W")),
+    "SW": ((0, 0, "N"), (0, 0, "E")),
+}
+# the six corner sites away from the SW corner, clockwise from the SE corner
+FACE_NONSW = ((1, 0, "W"), (1, 0, "N"), (1, 1, "S"), (1, 1, "W"), (0, 1, "E"), (0, 1, "S"))
 
 
 @dataclass(frozen=True, order=True)
@@ -73,30 +91,25 @@ class Lattice:
         else:
             self.vx_range = m + 1
             self.vy_range = n + 1
-        self._sites = []
-        self._site_index = {}
-        for y in range(self.vy_range):
-            for x in range(self.vx_range):
-                for d in DIRECTIONS:
-                    if self._direction_present(x, y, d):
-                        self._site_index[(x, y, d)] = len(self._sites)
-                        self._sites.append(Site(x, y, d))
+        # index[x, y, d]: the site at vertex (x, y) in direction DIRECTIONS[d],
+        # numbered row-major over vertices (y, then x) and then by direction;
+        # -1 where an open lattice's boundary vertex has no such site
+        present = np.ones((self.vy_range, self.vx_range, 4), dtype=bool)
+        if topology == "open":
+            present[:, 0, 0] = False  # W
+            present[n, :, 1] = False  # N
+            present[:, m, 2] = False  # E
+            present[0, :, 3] = False  # S
+        index = np.where(present, np.cumsum(present).reshape(present.shape) - 1, -1)
+        self.index = np.ascontiguousarray(index.transpose(1, 0, 2))
+        self.index.setflags(write=False)
+        self.n_sites = int(present.sum())
 
-    def _direction_present(self, x, y, d):
-        if self.topology == "torus":
-            return True
-        return {
-            "W": x > 0,
-            "E": x < self.m,
-            "S": y > 0,
-            "N": y < self.n,
-        }[d]
-
-    # -- counts ----------------------------------------------------------
-
-    @property
-    def n_sites(self):
-        return len(self._sites)
+    @cached_property
+    def _sites(self):
+        """The Site of each index, built on first use."""
+        ys, xs, ds = np.nonzero(self.index.transpose(1, 0, 2) >= 0)  # in index order
+        return [Site(x, y, DIRECTIONS[d]) for x, y, d in zip(xs.tolist(), ys.tolist(), ds.tolist())]
 
     # -- element enumeration ---------------------------------------------
 
@@ -134,31 +147,36 @@ class Lattice:
             raise ValueError(f"vertex ({x},{y}) outside open lattice")
         return x, y
 
+    def _lookup(self, x, y, d):
+        """Index of the site at wrapped vertex (x, y) in direction d, or -1."""
+        x, y = self.wrap(x, y)
+        code = _DIRECTION_CODE.get(d)
+        return -1 if code is None else int(self.index[x, y, code])
+
     def site(self, x, y, d):
         """Site at wrapped vertex (x, y) in direction d."""
-        x, y = self.wrap(x, y)
-        key = (x, y, d)
-        if key not in self._site_index:
+        idx = self._lookup(x, y, d)
+        if idx < 0:
+            x, y = self.wrap(x, y)
             raise MissingSiteError(f"vertex ({x},{y}) has no {d} site")
-        return self._sites[self._site_index[key]]
+        return self._sites[idx]
 
     def site_index(self, site):
         if isinstance(site, Site):
             key = (site.x, site.y, site.direction)
         else:
             key = site
-        x, y = self.wrap(key[0], key[1])
-        key = (x, y, key[2])
-        if key not in self._site_index:
-            raise MissingSiteError(f"no site {key}")
-        return self._site_index[key]
+        idx = self._lookup(*key)
+        if idx < 0:
+            x, y = self.wrap(key[0], key[1])
+            raise MissingSiteError(f"no site {(x, y, key[2])}")
+        return idx
 
     def has_site(self, x, y, d):
         try:
-            x, y = self.wrap(x, y)
+            return self._lookup(x, y, d) >= 0
         except ValueError:
             return False
-        return (x, y, d) in self._site_index
 
     # -- incidence ---------------------------------------------------------
 
@@ -181,29 +199,18 @@ class Lattice:
         The face is named by its SW vertex (x, y).  Each corner pair holds
         the two edge-end sites that meet there inside the face.
         """
-        x, y = face
-        if corner == "NW":
-            return self.site(x, y + 1, "E"), self.site(x, y + 1, "S")
-        if corner == "NE":
-            return self.site(x + 1, y + 1, "W"), self.site(x + 1, y + 1, "S")
-        if corner == "SE":
-            return self.site(x + 1, y, "N"), self.site(x + 1, y, "W")
-        if corner == "SW":
-            return self.site(x, y, "N"), self.site(x, y, "E")
-        raise ValueError(f"bad corner {corner!r}")
+        if corner not in FACE_CORNERS:
+            raise ValueError(f"bad corner {corner!r}")
+        return tuple(self._offset_site(face, p) for p in FACE_CORNERS[corner])
 
     def face_nonsw_sites(self, face):
         """The six face-corner sites away from the SW corner, clockwise
         from the SE corner."""
-        x, y = face
-        return [
-            self.site(x + 1, y, "W"),
-            self.site(x + 1, y, "N"),
-            self.site(x + 1, y + 1, "S"),
-            self.site(x + 1, y + 1, "W"),
-            self.site(x, y + 1, "E"),
-            self.site(x, y + 1, "S"),
-        ]
+        return [self._offset_site(face, p) for p in FACE_NONSW]
+
+    def _offset_site(self, face, placement):
+        dx, dy, d = placement
+        return self.site(face[0] + dx, face[1] + dy, d)
 
     def face_edges(self, face):
         """Edges bounding a face as (left, top, right, bottom), all oriented
@@ -215,10 +222,6 @@ class Lattice:
         """All sites of a vertex in direction order W, N, E, S."""
         x, y = vertex
         return [self.site(x, y, d) for d in DIRECTIONS if self.has_site(x, y, d)]
-
-    def vertex_directions(self, vertex):
-        x, y = vertex
-        return [d for d in DIRECTIONS if self.has_site(x, y, d)]
 
     # -- parsing -------------------------------------------------------------
 

@@ -50,6 +50,17 @@ class PauliString:
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "phase", int(phase) % (2 * n))
 
+    @classmethod
+    def _view(cls, n, x, z, phase):
+        """A string on read-only exponent vectors already reduced mod n, such
+        as rows of a ``PauliTable``, kept without a copy."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "x", x)
+        object.__setattr__(out, "z", z)
+        object.__setattr__(out, "phase", phase)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("PauliString is immutable")
 
@@ -147,6 +158,105 @@ def symplectic_phase(p, q):
 def order_divides_n(s):
     """Whether ``s^n = w^(n phase + n(n-1) x.z) I`` is I: ``phase + (n-1) x.z`` is even."""
     return (s.phase + (s.n - 1) * int(s.x @ s.z)) % 2 == 0
+
+
+class PauliTable:
+    """Generator strings over Z_n as the rows of one exponent table.
+
+    ``x`` holds a row of X exponents for each generator that is not pure Z
+    (an identity counts as pure X), and ``z`` a row of Z exponents for each
+    generator with a Z part; each array ends in one zero row, at which
+    ``x_row`` and ``z_row`` (one entry per generator, -1 for none) point for
+    a missing part.  Rows follow generator order, entries are reduced mod n,
+    ``phase`` mod 2n, and every array is read-only.  A CSS table, where no
+    generator has both parts, stores each generator once: its X block is
+    ``x[:-1]`` and its Z block ``z[:-1]``.  ``strings()`` gives each
+    generator as a PauliString whose vectors are views of these rows.
+
+    The table is written from placements: per part a triple of equal-length
+    arrays (generator, site, exponent), naming each site of a generator at
+    most once.  The nonzero entries are also kept as ``(gens, row, site,
+    exponent)``, ``gens`` naming the generator of each row, so the sparse
+    forms are built from them and never scan the dense rows.
+    """
+
+    def __init__(self, n, nsites, count, xs, zs, phase=None):
+        self.n, self.nsites = n, nsites
+        has_x, has_z = np.zeros((2, count), dtype=bool)
+        has_x[xs[0]] = True
+        has_z[zs[0]] = True
+        parts = []
+        for (gen, site, exp), keep in ((xs, has_x | ~has_z), (zs, has_z)):
+            gens = np.flatnonzero(keep)
+            row = np.full(count, -1, dtype=np.int64)
+            row[gens] = np.arange(len(gens))
+            value = exp % n
+            nonzero = value != 0
+            r, c, value = row[gen[nonzero]], site[nonzero], value[nonzero]
+            rows = np.zeros((len(gens) + 1, nsites), dtype=np.int64)
+            rows[r, c] = value
+            parts.append((rows, row, (gens, r, c, value)))
+        (self.x, self.x_row, x_nz), (self.z, self.z_row, z_nz) = parts
+        self._nonzero = (x_nz, z_nz)
+        phase = np.zeros(count, dtype=np.int64) if phase is None else np.asarray(phase, dtype=np.int64)
+        self.phase = phase % (2 * n)
+        for a in (self.x, self.z, self.x_row, self.z_row, self.phase):
+            a.setflags(write=False)
+
+    @classmethod
+    def from_strings(cls, n, nsites, strings):
+        """Table of the given strings, their rows stacked once."""
+        placements = []
+        for part in ([s.x for s in strings], [s.z for s in strings]):
+            rows = np.array(part, dtype=np.int64).reshape(len(strings), nsites)
+            gen, site = np.nonzero(rows)
+            placements.append((gen, site, rows[gen, site]))
+        return cls(n, nsites, len(strings), *placements, [s.phase for s in strings])
+
+    def __len__(self):
+        return len(self.phase)
+
+    @property
+    def css(self):
+        """Whether every generator is pure X or pure Z."""
+        return not ((self.x_row >= 0) & (self.z_row >= 0)).any()
+
+    def strings(self):
+        """Each generator as a PauliString on views of its rows."""
+        return [
+            PauliString._view(self.n, self.x[i], self.z[j], p)
+            for i, j, p in zip(self.x_row.tolist(), self.z_row.tolist(), self.phase.tolist())
+        ]
+
+    @functools.cached_property
+    def sparse(self):
+        """The rows of ``x`` and of ``z`` but their zero row, as CSR
+        matrices, each with the generators its rows belong to:
+        ``((x_gens, x_rows), (z_gens, z_rows))``."""
+        out = []
+        for gens, r, c, value in self._nonzero:
+            order = np.argsort(r, kind="stable")
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=len(gens)))))
+            rows = sp.csr_matrix((value[order], c[order], indptr), shape=(len(gens), self.nsites))
+            out.append((gens, rows))
+        return tuple(out)
+
+    def entries(self):
+        """The nonzero exponents as (generator, column of ``[x|z]``,
+        exponent) arrays, ordered by generator, and within one by part."""
+        (xg, xr, xc, xv), (zg, zr, zc, zv) = self._nonzero
+        gen = np.concatenate((xg[xr], zg[zr]))
+        order = np.argsort(gen, kind="stable")  # the x columns of a generator come first
+        return gen[order], np.concatenate((xc, zc + self.nsites))[order], np.concatenate((xv, zv))[order]
+
+    def order_divides_n(self):
+        """Per generator, :func:`order_divides_n` of its string: ``phase +
+        (n-1) x.z`` is even, where only a generator with both parts has
+        ``x.z`` nonzero."""
+        both = np.flatnonzero((self.x_row >= 0) & (self.z_row >= 0))
+        xz = np.zeros(len(self), dtype=np.int64)
+        xz[both] = np.einsum("ij,ij->i", self.x[self.x_row[both]], self.z[self.z_row[both]])
+        return (self.phase + (self.n - 1) % 2 * (xz % 2)) % 2 == 0
 
 
 # -- dense / sparse realization and state application ------------------------

@@ -5,6 +5,8 @@ import pytest
 
 from gtoric.catalog import (
     MODEL_IDS,
+    HamiltonianSpec,
+    Term,
     build_hamiltonian,
     cyclic_projector,
     decode_edge_state,
@@ -22,8 +24,9 @@ from gtoric.catalog import (
     vertex_projector_family,
 )
 from gtoric.groupoids import make_isotropy_z2_groupoid, make_sis_groupoid
-from gtoric.lattice import Lattice
-from gtoric.paulis import OperatorSum, PauliString
+from gtoric.lattice import DIRECTIONS, Lattice
+from gtoric.paulis import OperatorSum, PauliString, PauliTable
+from gtoric.stabilizer import StabilizerModel
 
 
 def family_matrices(fam):
@@ -221,3 +224,119 @@ class TestSymmetryOperators:
             expected.add(lat.site_index(lat.site(*v, "N")))
         assert set(op.support()) == expected
         assert not any(op.z)
+
+
+# -- the per-site builder, kept as the reference for the table builder ---------
+
+
+def _ref_z_string(lat, n, placements):
+    z_at = {}
+    for site, e in placements:
+        idx = lat.site_index(site)
+        z_at[idx] = z_at.get(idx, 0) + e
+    return PauliString.from_ops(n, lat.n_sites, z_at=z_at)
+
+
+def _ref_x_string(lat, n, sites):
+    return PauliString.from_ops(n, lat.n_sites, x_at={lat.site_index(s): 1 for s in sites})
+
+
+def _ref_vertex_z(lat, v, n, dirs, exps):
+    x, y = v
+    return _ref_z_string(lat, n, [(lat.site(x, y, d), e) for d, e in zip(dirs, exps)])
+
+
+def _ref_corner(lat, f, corner, n):
+    exps = {"NW": (-1, 1), "NE": (1, -1), "SE": (1, -1), "SW": (1, -1)}[corner]
+    return _ref_z_string(lat, n, list(zip(lat.face_corner_sites(f, corner), exps)))
+
+
+def _ref_six(lat, f, n, alternating):
+    exps = [-1, 1, -1, 1, -1, 1] if alternating else [1] * 6
+    return _ref_z_string(lat, n, list(zip(lat.face_nonsw_sites(f), exps)))
+
+
+def reference_hamiltonian(model, lat, n=2):
+    """``build_hamiltonian`` as it was written before the table builder: one
+    PauliString per factor, placed site by site."""
+    model, model_n = parse_model_id(model)
+    n = model_n if model == "zn" else n
+    terms = []
+    if model == "boundary":
+        for v in lat.vertices():
+            dirs = [d for d in DIRECTIONS if lat.has_site(*v, d)]
+            x_all = _ref_x_string(lat, n, lat.vertex_sites(v))
+            if len(dirs) == 4:
+                zdirs, kind = "EN", "vertex"
+            elif len(dirs) == 3:
+                zdirs = "WE" if "N" not in dirs or "S" not in dirs else "SN"
+                kind = "boundary-vertex"
+            else:
+                zdirs, kind = dirs, "corner-vertex"
+            terms.append(Term(kind, v, [(x_all, 0), (_ref_vertex_z(lat, v, n, zdirs, (1, 1)), 1)]))
+        for f in lat.faces():
+            terms.append(Term("face", f, [(_ref_six(lat, f, n, alternating=False), 1)]))
+        return HamiltonianSpec("boundary", lat, n, terms)
+    half = n // 2
+    corner_checks = {"NW": ("WN", (-1, 1)), "SW": ("WS", (1, -1)), "SE": ("SE", (1, -1))}
+    for v in lat.vertices():
+        x4 = _ref_x_string(lat, n, lat.vertex_sites(v))
+        z = {
+            "m1": ("EN", (1, 1)), "m2": ("EN", (1, 1)), "m3exp": ("WS", (1, 1)),
+            "mhoriz": ("WE", (1, 1)), "mvert": ("SN", (1, 1)), "zn": ("NE", (-1, 1)),
+        }
+        if model == "mnondeg":
+            corners = [_ref_vertex_z(lat, v, n, *corner_checks[c]) for c in ("NW", "SW", "SE")]
+            factors = [(x4, 0)] + [(s, 0) for s in corners]
+        else:
+            factors = [(x4, 0), (_ref_vertex_z(lat, v, n, *z[model]), half if model == "m1" else 0)]
+        terms.append(Term("vertex", v, factors))
+    for f in lat.faces():
+        if model in ("m1", "m2"):
+            factors = [(_ref_six(lat, f, n, alternating=False), half if model == "m1" else 0)]
+        elif model == "m3exp":
+            factors = [(_ref_corner(lat, f, "NE", n), 0)]
+        elif model == "mhoriz":
+            sites = lat.face_corner_sites(f, "NE") + lat.face_corner_sites(f, "NW")
+            factors = [(_ref_z_string(lat, n, [(s, 1) for s in sites]), 0)]
+        elif model == "mvert":
+            sites = lat.face_corner_sites(f, "SE") + lat.face_corner_sites(f, "NE")
+            factors = [(_ref_z_string(lat, n, [(s, 1) for s in sites]), 0)]
+        elif model == "mnondeg":
+            factors = [(_ref_corner(lat, f, c, n), 0) for c in ("NW", "NE", "SE", "SW")]
+        else:
+            factors = [(_ref_six(lat, f, n, alternating=True), 0)]
+        terms.append(Term("face", f, factors))
+    return HamiltonianSpec(model if model != "zn" else f"zn:{n}", lat, n, terms)
+
+
+REFERENCE_CASES = [
+    (model, "torus", m, n)
+    for model in ("m1", "m2", "m3exp", "mhoriz", "mvert", "mnondeg", "zn:3", "zn:6")
+    for m, n in ((2, 2), (3, 2), (4, 3), (5, 5))
+] + [("boundary", "open", m, n) for m, n in ((1, 1), (1, 2), (2, 2), (3, 2))]
+
+
+class TestReferenceBuilder:
+    """The table builder writes the terms and generators the per-site
+    builder placed one site at a time."""
+
+    @pytest.mark.parametrize("model, topology, m, n", REFERENCE_CASES, ids=lambda v: str(v))
+    def test_same_terms_and_table(self, model, topology, m, n):
+        lat = Lattice(topology, m, n)
+        got, want = build_hamiltonian(model, lat), reference_hamiltonian(model, lat)
+        assert (got.model, got.n) == (want.model, want.n)
+        assert [(t.kind, t.location) for t in got.terms] == [(t.kind, t.location) for t in want.terms]
+        for a, b in zip(got.terms, want.terms):
+            assert len(a.factors) == len(b.factors)
+            for (s, target), (r, want_target) in zip(a.factors, b.factors):
+                assert s.x.dtype == r.x.dtype and s.z.dtype == r.z.dtype
+                assert np.array_equal(s.x, r.x) and np.array_equal(s.z, r.z)
+                assert (s.phase, target) == (r.phase, want_target)
+                assert type(target) is int and type(s.phase) is int
+        assert want.table is None
+        stacked = PauliTable.from_strings(want.n, lat.n_sites, [s for t in want.terms for s, _ in t.factors])
+        for name in ("x", "z", "x_row", "z_row", "phase"):
+            assert np.array_equal(getattr(got.table, name), getattr(stacked, name)), name
+        table, ref_table = (StabilizerModel.from_hamiltonian(h).exponent_table for h in (got, want))
+        assert table.shape == ref_table.shape and (table != ref_table).nnz == 0

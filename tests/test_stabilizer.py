@@ -1,5 +1,6 @@
 """Stabilizer engine: degeneracy, consistency, logicals, syndromes, strings."""
 
+import logging
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +15,7 @@ from gtoric.catalog import (
     global_shift_symmetry,
 )
 from gtoric.lattice import Lattice
+from gtoric.linalg import _prime_powers, row_group
 from gtoric.oracle import trace_product
 from gtoric.paulis import OperatorSum, PauliString, _roots, symplectic_phase
 from gtoric.stabilizer import (
@@ -461,6 +463,106 @@ class TestPhaseConsistency:
         assert gsd(flipped) == 0
 
 
+def reference_joint(m):
+    """Order, factors, relation count and gsd from one ``row_group`` on the
+    whole dense ``[x|z]`` matrix and the quadratic phase formula over every
+    generator: the joint analysis the per-block one replaced."""
+    n = m.n
+    mat = np.array([np.concatenate((s.x, s.z)) for s, _ in m.generators], dtype=np.int64)
+    group = row_group(mat, n)
+    rel = group.relations % n
+    xz = mat[:, : m.nsites] @ mat[:, m.nsites :].T % n  # [i, j] = x_i.z_j
+    phases, targets = np.array([(s.phase, t) for s, t in m.generators], dtype=np.int64).T
+    cross = ((np.tril(xz, k=-1) @ rel.T).T % n * rel).sum(axis=1)  # sum_{i<j} r_i r_j x_j.z_i
+    doubled = ((rel * (rel - 1) // 2) % n @ np.diag(xz) + cross) % n
+    consistent = not ((rel @ (phases - 2 * targets) + 2 * doubled) % (2 * n)).any()
+    return group, (n**m.nsites // group.order if consistent else 0)
+
+
+@st.composite
+def css_models(draw, n):
+    """Pure X and pure Z generators, each Z kept when it commutes with every
+    X; sometimes one more generator of a kind is a combination of two kept
+    ones, so that a relation ties their targets.  Phases are even, as
+    s^n = I asks of a pure string; targets are random."""
+    nsites = draw(st.integers(1, 7))
+    exps = st.dictionaries(st.integers(0, nsites - 1), st.integers(1, n - 1), min_size=1, max_size=3)
+    xs = [PauliString.from_ops(n, nsites, x_at=draw(exps)) for _ in range(draw(st.integers(0, 4)))]
+    zs = []
+    for _ in range(draw(st.integers(0, 4))):
+        z = PauliString.from_ops(n, nsites, z_at=draw(exps))
+        if all(symplectic_phase(x, z) == 0 for x in xs):
+            zs.append(z)
+    for kind in (xs, zs):
+        if len(kind) > 1 and draw(st.booleans()):
+            a, b = draw(st.lists(st.sampled_from(kind), min_size=2, max_size=2))
+            kind.append(a ** draw(st.integers(1, n - 1)) * b ** draw(st.integers(0, n - 1)))
+    strings = draw(st.permutations(xs + zs))
+    strings = [PauliString(n, s.x, s.z, 2 * draw(st.integers(0, n - 1))) for s in strings]
+    if not strings:
+        strings = [PauliString.identity(n, nsites)]
+    targets = draw(st.lists(st.integers(0, n - 1), min_size=len(strings), max_size=len(strings)))
+    return bare_model(n, nsites, list(zip(strings, targets)))
+
+
+def assert_matches_joint(sm):
+    group, want_gsd = reference_joint(sm)
+    got = sm.analysis()
+    assert got.order == group.order
+    assert sorted(got.factors) == sorted(group.factors)
+    assert got.rank == group.rank
+    rep = report(sm)
+    assert rep["group_order"] == group.order and rep["rank"] == group.rank
+    assert rep["relations"] == (None if group.rank is None else len(group.relations))
+    # the placed block relations generate every relation among the generators;
+    # they are as many as the joint ones unless n has two primes, whose
+    # parts of two blocks can merge into one Z_n summand (Z_2 + Z_3 is Z_6)
+    if len(_prime_powers(sm.n)) == 1:
+        assert len(got.relations) == len(group.relations)
+    assert len(got.relations) >= len(group.relations)
+    mat = sm.exponent_matrix()
+    assert not (got.relations @ mat % sm.n).any()
+    assert row_group(got.relations, sm.n).order * got.order == sm.n ** len(sm.generators)
+    assert gsd(sm) == want_gsd == rep["gsd"]
+
+
+class TestBlocksAgainstJoint:
+    """Per-block analysis against one joint elimination of the whole table."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 9])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_css_models(self, n, data):
+        sm = data.draw(css_models(n))
+        assert sm.table.css
+        assert [b.label for b in sm._split.blocks] == ["X", "Z"]
+        assert_matches_joint(sm)
+        # membership of group elements and of random strings, against the joint group
+        group = reference_joint(sm)[0]
+        digits = st.lists(st.integers(0, n - 1), min_size=sm.nsites, max_size=sm.nsites)
+        gens = st.lists(st.integers(0, n - 1), min_size=len(sm.generators), max_size=len(sm.generators))
+        for p in (PauliString(n, data.draw(digits), data.draw(digits)), group_element(sm, data.draw(gens))):
+            assert in_stabilizer_group(sm, p) == group.contains(np.concatenate((p.x, p.z)))
+        for index in range(len(sm.generators)):
+            flipped = sm.with_flipped_target(index, data.draw(st.integers(1, n - 1)))
+            assert flipped._split is sm._split
+            assert gsd(flipped) == reference_joint(flipped)[1]
+
+    @pytest.mark.parametrize("targets", [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
+    def test_mixed_model_is_one_block(self, targets):
+        """X0 X1, Z0 Z1 and X0 Z0 X1 Z1 = -Y0 Y1: the third generator has both
+        parts, so the table is one joint block and the phase of the relation
+        among the three decides which targets leave a ground state."""
+        xx = PauliString(2, [1, 1], [0, 0])
+        zz = PauliString(2, [0, 0], [1, 1])
+        xzxz = PauliString(2, [1, 1], [1, 1])
+        sm = bare_model(2, 2, list(zip((xx, zz, xzxz), targets)))
+        assert not sm.table.css
+        assert [b.label for b in sm._split.blocks] == ["XZ"]
+        assert_matches_joint(sm)
+        assert gsd(sm) in (0, 1)
+
+
 class TestNoOperatorAlgebra:
     """Stabilizer answers read the terms' (string, target) factors only."""
 
@@ -654,3 +756,28 @@ class TestConfinement:
         sm = model_for("m1", m=2, n=2)
         with pytest.raises(InvalidPathError):
             confinement_profile(sm, "forbidden-vertical", [3])
+
+
+class TestLogging:
+    @pytest.mark.parametrize(
+        "model, path, x_order, z_order",
+        [("m1", "GF(2) bitset", 2**4, 2**7), ("zn:3", "prime field", 3**4, 3**7),
+         ("zn:6", "CRT Smith form", 6**4, 6**7)],
+    )
+    def test_count_reports_blocks_and_stages(self, caplog, model, path, x_order, z_order):
+        caplog.set_level(logging.DEBUG, logger="gtoric.stabilizer")
+        report(model_for(model))
+        [rec] = [r for r in caplog.records if r.name == "gtoric.stabilizer"]
+        assert rec.levelno == logging.DEBUG
+        # torus:2x2: four vertex X rows, and four vertex and four face Z rows, on 16 sites
+        assert rec.blocks == [
+            {"block": "X", "shape": (4, 16), "path": path, "order": x_order, "relations": 0},
+            {"block": "Z", "shape": (8, 16), "path": path, "order": z_order, "relations": 1},
+        ]
+        assert set(rec.seconds) == {"table", "check", "eliminations", "consistency"}
+        assert all(v >= 0 for v in rec.seconds.values())
+        assert f"Z 8x16 by {path}: order" in rec.getMessage()
+
+    def test_silent_by_default(self, capfd):
+        report(model_for("zn:6"))
+        assert capfd.readouterr() == ("", "")
