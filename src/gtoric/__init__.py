@@ -16,6 +16,7 @@ from .paulis import (
     OperatorSum,
     PauliParseError,
     PauliString,
+    lattice_string,
     pauli_from_text,
     pauli_to_text,
     symplectic_phase,

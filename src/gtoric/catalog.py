@@ -13,8 +13,9 @@ a pure X or Z string given by site offsets and exponents.
 by indexing the lattice's site-index array, and every generator of the model
 lands in one ``PauliTable`` (``HamiltonianSpec.table``); the terms' strings
 are read-only views of its rows.  The per-site helpers below
-(``vertex_corner_string``, ``face_corner_string``, the projector families)
-build single strings for the symbolic checks.
+(``vertex_corner_string``, ``face_corner_string``, the projector families,
+``global_shift_symmetry``) build single strings for the symbolic checks,
+each through ``paulis.lattice_string``.
 
 Basis/label conventions (see :mod:`gtoric.paulis`): site levels are labelled
 1..n with ``|0> == |n>`` and ``Z|i> = w_n^i |i>``.  An edge morphism x_ij is
@@ -31,7 +32,9 @@ import numpy as np
 
 from .groupoids import SisGroupoid, ZERO
 from .lattice import DIRECTIONS, FACE_CORNERS, FACE_NONSW, Lattice
-from .paulis import OperatorSum, PauliString, PauliTable, _cmul, _roots, order_divides_n, pauli_to_text
+from .paulis import (
+    OperatorSum, PauliString, PauliTable, _cmul, _roots, lattice_string, order_divides_n, pauli_to_text,
+)
 
 MODEL_IDS = ("m1", "m2", "m3exp", "mhoriz", "mvert", "mnondeg", "zn", "boundary")
 
@@ -162,24 +165,10 @@ def product_of_projectors(factors):
 # -- projector families --------------------------------------------------------
 
 
-def _z_string(lat, n, placements):
-    """PauliString with Z^e at each (site, e) placement."""
-    z_at = {}
-    for site, e in placements:
-        idx = lat.site_index(site)
-        z_at[idx] = z_at.get(idx, 0) + e
-    return PauliString.from_ops(n, lat.n_sites, z_at=z_at)
-
-
-def _x_string(lat, n, sites):
-    x_at = {lat.site_index(s): 1 for s in sites}
-    return PauliString.from_ops(n, lat.n_sites, x_at=x_at)
-
-
 def vertex_corner_string(lat, v, corner, n):
     """The two-site Z check of one vertex corner (NW, SW or SE)."""
     x, y = v
-    return _z_string(lat, n, [(lat.site(x, y, d), e) for d, e in VERTEX_CORNER_STRINGS[corner]])
+    return lattice_string(lat, n, z=[((x, y, d), e) for d, e in VERTEX_CORNER_STRINGS[corner]])
 
 
 def vertex_projector_family(lat, v, n=2):
@@ -189,7 +178,7 @@ def vertex_projector_family(lat, v, n=2):
     (shift eigenvalue, NW check, SW check, SE check); index 0 is the
     all-matched, shift-symmetric projector used by the non-degenerate model.
     """
-    x4 = _x_string(lat, n, lat.vertex_sites(v))
+    x4 = lattice_string(lat, n, x=[(s, 1) for s in lat.vertex_sites(v)])
     corners = [vertex_corner_string(lat, v, c, n) for c in ("NW", "SW", "SE")]
     out = []
     for k in range(n):
@@ -203,9 +192,7 @@ def vertex_projector_family(lat, v, n=2):
 
 def face_corner_string(lat, f, corner, n):
     """The two-site Z check across one face corner."""
-    s1, s2 = lat.face_corner_sites(f, corner)
-    e1, e2 = FACE_CORNER_EXPONENTS[corner]
-    return _z_string(lat, n, [(s1, e1), (s2, e2)])
+    return lattice_string(lat, n, z=zip(lat.face_corner_sites(f, corner), FACE_CORNER_EXPONENTS[corner]))
 
 
 def face_projector_family(lat, f, n=2):
@@ -219,8 +206,8 @@ def face_projector_family(lat, f, n=2):
     x, y = f
     corners = [(face_corner_string(lat, f, c, n), 0) for c in ("NW", "NE", "SE")]
     matched = product_of_projectors(corners)
-    n_site = lat.site_index(lat.site(x, y, "N"))
-    e_site = lat.site_index(lat.site(x, y, "E"))
+    n_site = lat.site_index((x, y, "N"))
+    e_site = lat.site_index((x, y, "E"))
     family = {}
     for i in range(1, n + 1):
         for k in range(1, n + 1):
@@ -421,12 +408,7 @@ def _write(spec, families):
 def global_shift_symmetry(lat, n=2):
     """X on every vertex's E and N sites: the global symmetry of the torus
     models."""
-    sites = []
-    for v in lat.vertices():
-        x, y = v
-        sites.append(lat.site(x, y, "E"))
-        sites.append(lat.site(x, y, "N"))
-    return _x_string(lat, n, sites)
+    return lattice_string(lat, n, x=[((x, y, d), 1) for x, y in lat.vertices() for d in "EN"])
 
 
 def face_holonomy(g, lat, f, digits):

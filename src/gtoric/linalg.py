@@ -170,14 +170,10 @@ def _echelon_gf2(mat):
             other ^= 1 << (k - 1)
         stored[c] = x
     ordered = [stored[c] for c in pivots] + relations
-    # write only the set bits, so pages of zeros are never touched
     bits = np.unpackbits(np.frombuffer(b"".join(x.to_bytes(mb + tb, "big") for x in ordered), dtype=np.uint8))
-    i, j = np.divmod(np.flatnonzero(bits.view(bool)), top)
-    ech = np.zeros((rows, cols), dtype=np.int64)
-    t = np.zeros((rows, rows), dtype=np.int64)
-    in_mat = j < cols
-    ech[i[in_mat], j[in_mat]] = 1
-    t[i[~in_mat], j[~in_mat] - 8 * mb] = 1
+    bits = bits.reshape(rows, top)
+    ech = np.ascontiguousarray(bits[:, :cols], dtype=np.int64)
+    t = np.ascontiguousarray(bits[:, 8 * mb : 8 * mb + rows], dtype=np.int64)
     return ech, pivots, t
 
 
@@ -299,7 +295,7 @@ class RowGroup:
 def row_group(mat, n):
     """Decompose mat once: ``row_echelon_mod_p`` for prime n, otherwise
     ``smith_normal_form`` over Z_n."""
-    mat = np.array(mat, dtype=np.int64)
+    mat = np.asarray(mat, dtype=np.int64)
     rows, cols = mat.shape
     if is_prime(n):
         ech, pivots, t = row_echelon_mod_p(mat, n)

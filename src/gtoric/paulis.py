@@ -601,6 +601,21 @@ def pauli_from_text(text, lat, n):
     return PauliString(n, x, z, phase)
 
 
+def lattice_string(lat, n, x=(), z=()):
+    """The string with X^e and Z^e at each ``(site, e)`` placement of x and z.
+
+    A site is a ``Site`` or an ``(x, y, direction)`` tuple, wrapped as
+    ``lat.site_index`` wraps it, and the exponents of a site placed twice
+    add.  A site that an open lattice lacks raises ``MissingSiteError`` and a
+    vertex off the lattice ``ValueError``.
+    """
+    xz = np.zeros((2, lat.n_sites), dtype=np.int64)
+    for row, placements in zip(xz, (x, z)):
+        for site, e in placements:
+            row[lat.site_index(site)] += e
+    return PauliString(n, *xz)
+
+
 def pauli_to_text(p, lat):
     """Inverse of :func:`pauli_from_text`; sites appear in index order."""
     parts = []

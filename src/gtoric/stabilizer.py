@@ -41,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linalg
-from .paulis import PauliString, PauliTable
+from .paulis import PauliString, PauliTable, lattice_string
 from .paulis import symplectic_phase  # noqa: F401  unused here; perfbench's tracer patches it
 
 log = logging.getLogger(__name__)
@@ -469,54 +469,38 @@ class PathSpec:
 def string_operator(lat, path, n=2):
     """X placements of a constituent path as a single PauliString."""
     path.validate()
-    x_at = {}
-    for v, kind in path.steps:
-        x, y = v
-        for d in PATH_KINDS[kind]:
-            idx = lat.site_index(lat.site(x, y, d))
-            x_at[idx] = x_at.get(idx, 0) + 1
-    return PauliString.from_ops(n, lat.n_sites, x_at=x_at)
-
-
-def _allowed_chain(m, length):
-    """Deconfined open string of the given length for the current model."""
-    lat = m.lattice
-    if m.model == "mhoriz":
-        if length > lat.m - 1:
-            raise InvalidPathError("path exceeds the lattice")
-        steps = [((x, 1), "II") for x in range(length)]
-    else:
-        if length > lat.n - 1:
-            raise InvalidPathError("path exceeds the lattice")
-        steps = [((1, y), "I") for y in range(length)]
-    return PathSpec(steps)
+    placements = [((x, y, d), 1) for (x, y), kind in path.steps for d in PATH_KINDS[kind]]
+    return lattice_string(lat, n, x=placements)
 
 
 def confinement_profile(m, direction, lengths):
     """Syndrome energy of strings of growing length.
 
-    ``allowed`` strings are chains of the model's deconfined constituent and
-    cost a constant 2; ``forbidden-vertical`` places X on E sites moving up,
-    ``forbidden-horizontal`` places X on N sites moving east, both of which
-    drag vertex excitations along and cost energy per step.
+    Each direction is a chain of X on one site direction, from a first
+    vertex by a fixed step, and may run at most one vertex short of the
+    lattice's extent along that step.  ``allowed`` strings are chains of the
+    model's deconfined constituent (II along a row for mhoriz, I up a column
+    otherwise) and cost a constant 2; ``forbidden-vertical`` places X on E
+    sites moving up, ``forbidden-horizontal`` places X on N sites moving
+    east, both of which drag vertex excitations along and cost energy per
+    step.
     """
+    # constituent II is one S site and constituent I one W site
+    allowed = ("S", (0, 1), (1, 0)) if m.model == "mhoriz" else ("W", (1, 0), (0, 1))
+    chains = {  # direction -> (site direction, first vertex, step)
+        "allowed": allowed,
+        "forbidden-vertical": ("E", (0, 0), (0, 1)),
+        "forbidden-horizontal": ("N", (0, 0), (1, 0)),
+    }
+    if direction not in chains:
+        raise ValueError(f"unknown direction {direction!r}")
+    d, (x0, y0), (dx, dy) = chains[direction]
     lat = m.lattice
     out = []
     for length in lengths:
-        if direction == "allowed":
-            err = string_operator(lat, _allowed_chain(m, length), m.n)
-        elif direction == "forbidden-vertical":
-            if length > lat.n - 1:
-                raise InvalidPathError("path exceeds the lattice")
-            x_at = {lat.site_index(lat.site(0, y, "E")): 1 for y in range(length)}
-            err = PauliString.from_ops(m.n, m.nsites, x_at=x_at)
-        elif direction == "forbidden-horizontal":
-            if length > lat.m - 1:
-                raise InvalidPathError("path exceeds the lattice")
-            x_at = {lat.site_index(lat.site(x, 0, "N")): 1 for x in range(length)}
-            err = PauliString.from_ops(m.n, m.nsites, x_at=x_at)
-        else:
-            raise ValueError(f"unknown direction {direction!r}")
+        if length > (lat.m if dx else lat.n) - 1:
+            raise InvalidPathError("path exceeds the lattice")
+        err = lattice_string(lat, m.n, x=[((x0 + k * dx, y0 + k * dy, d), 1) for k in range(length)])
         out.append(syndrome(m, err).energy)
     return out
 

@@ -149,6 +149,17 @@ class TestGsd:
         assert data["dense_trace"] == pytest.approx(32.0)
         assert data["agree"] is True
 
+    @pytest.mark.parametrize("method", ["both", "dense"])
+    def test_dense_count_is_an_exact_int(self, runner, method):
+        # the dense count is oracle.ground_space_dimension's verified integer
+        res = runner.invoke(
+            main, ["gsd", "--model", "mnondeg", "--method", method, "--format", "json"]
+        )
+        assert res.exit_code == 0
+        data = json.loads(res.output)
+        assert isinstance(data["dense_trace"], int)
+        assert data["dense_trace"] == data["gsd"] == 1
+
     def test_json_fields(self, runner):
         res = runner.invoke(
             main, ["gsd", "--model", "mnondeg", "--format", "json"]
