@@ -320,13 +320,32 @@ def _roots(m):
     return roots
 
 
+@functools.lru_cache(maxsize=None)
+def _word_places(n):
+    """The place values ``n^(k-1), ..., n, 1`` of one int64 key word, read-only:
+    k is the most base-n digits with n^k < 2^63."""
+    k = 1
+    while n ** (k + 1) < 2**63:
+        k += 1
+    places = np.array([n**e for e in range(k - 1, -1, -1)], dtype=np.int64)
+    places.setflags(write=False)
+    return places
+
+
+def _cross(a, b, n):
+    """``a @ b.T mod n``, summed over the columns where both are nonzero."""
+    both = np.flatnonzero(a.any(axis=0) & b.any(axis=0))
+    return a[:, both] @ b[:, both].T % n
+
+
 def _cmul(a, b):
     """Complex ``a * b`` with every real product and sum rounded on its own,
     as Python's complex multiplication does; numpy's vector loops may fuse
     them, which would change coefficients in the last bit."""
     a, b = np.asarray(a), np.asarray(b)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
+    real = a.real * b.real - a.imag * b.imag
+    out = np.empty(real.shape, dtype=complex)
+    out.real = real
     out.imag = a.real * b.imag + a.imag * b.real
     return out
 
@@ -337,9 +356,11 @@ class OperatorSum:
     Stored as packed arrays: ``coeffs`` (T,) complex and the exponents ``x``,
     ``z`` (T, nsites) int64, views of one (T, 2 nsites) array.  Each row is a
     distinct Pauli with its phase folded into the coefficient; rows with
-    ``|c| <= 1e-14`` are dropped and the rest are sorted by
-    ``(x.tobytes(), z.tobytes())``.  ``terms`` lists them as
-    ``(coeff, PauliString)`` pairs, built on first read.
+    ``|c| <= 1e-14`` are dropped and the rest are sorted in lexicographic
+    order of their ``[x|z]`` exponents.  Every operation (sum, difference,
+    product, commutator, scaling) forms its rows in one pass and merges them
+    once.  ``terms`` lists them as ``(coeff, PauliString)`` pairs, built on
+    first read.
     """
 
     def __init__(self, terms, n=None, nsites=None):
@@ -364,21 +385,36 @@ class OperatorSum:
 
     def _merge(self, n, nsites, coeffs, xz, cols=None):
         """Sum the coefficients of equal ``[x|z]`` rows in input order and keep
-        the rows above the cut-off, sorted by their bytes.  ``xz`` holds the
-        columns ``cols`` of the packed rows (all of them by default); every
-        other column is zero."""
+        the rows above the cut-off, in lexicographic order of their exponents.
+        ``xz`` holds the columns ``cols`` of the packed rows (all of them by
+        default), reduced mod n; every other column is zero.
+
+        A row's key is its entries read as base-n digits, the first column
+        most significant, packed into int64 words of as many digits as keep
+        n^k below 2^63.  The first word is ranked by one ``unique``; each
+        further word with rank r refines the rank to ``rank * (r.max() + 1) +
+        r``, ranked again.  The ranks follow the lexicographic order of the
+        rows, and each distinct row is recovered by scattering the rows onto
+        their ranks."""
+        if n < 2:
+            raise ValueError("qudit dimension must be >= 2")
         if cols is None:
             cols = np.flatnonzero(xz.any(axis=0))
             xz = xz[:, cols]
-        if not len(cols):  # a key needs a column: take column 0, zero in every row
-            cols, xz = np.zeros(1, dtype=np.int64), np.zeros((len(coeffs), 1), dtype=np.int64)
-        # a void item compares by its bytes, as (x.tobytes(), z.tobytes()) do:
-        # the columns left out are equal in every row
-        xz = np.ascontiguousarray(xz, dtype=np.int64)
-        keys = xz.view(np.dtype((np.void, xz.itemsize * len(cols)))).ravel()
-        unique, inverse = np.unique(keys, return_inverse=True)
-        re = np.bincount(inverse, coeffs.real, len(unique))
-        im = np.bincount(inverse, coeffs.imag, len(unique))
+        inverse = np.zeros(len(coeffs), dtype=np.int64)
+        size = min(len(coeffs), 1)  # no column: every row is the identity
+        places = _word_places(n)
+        for start in range(0, len(cols), len(places)):
+            digits = xz[:, start : start + len(places)]
+            values, rank = np.unique(digits @ places[len(places) - digits.shape[1] :], return_inverse=True)
+            if start:
+                rank = inverse * len(values) + rank
+                values, rank = np.unique(rank, return_inverse=True)
+            size, inverse = len(values), rank
+        rows = np.empty((size, len(cols)), dtype=np.int64)
+        rows[inverse] = xz
+        re = np.bincount(inverse, coeffs.real, size)
+        im = np.bincount(inverse, coeffs.imag, size)
         keep = np.hypot(re, im) > 1e-14  # np.abs may round |c| differently from abs()
         self.n = n
         self.nsites = nsites
@@ -387,7 +423,7 @@ class OperatorSum:
         self.coeffs.imag = im[keep]
         self.coeffs.setflags(write=False)
         self._xz = np.zeros((len(self.coeffs), 2 * nsites), dtype=np.int64)
-        self._xz[:, cols] = unique.view(np.int64).reshape(len(unique), len(cols))[keep]
+        self._xz[:, cols] = rows[keep]
         self._xz.setflags(write=False)
         self.x = self._xz[:, :nsites]
         self.z = self._xz[:, nsites:]
@@ -402,27 +438,33 @@ class OperatorSum:
 
     @classmethod
     def identity(cls, n, nsites):
-        return cls([(1.0, PauliString.identity(n, nsites))])
+        xz = np.zeros((1, 2 * nsites), dtype=np.int64)
+        return cls._from_arrays(n, nsites, np.ones(1, dtype=complex), xz)
 
     @classmethod
     def from_pauli(cls, p):
-        return cls([(1.0, p)])
+        coeffs = np.array([p.phase_factor()])
+        return cls._from_arrays(p.n, p.nsites, coeffs, np.concatenate((p.x, p.z))[None])
 
     def _check_compatible(self, other):
         if (self.n, self.nsites) != (other.n, other.nsites):
             raise ValueError("dimension or site-count mismatch")
 
     def __add__(self, other):
+        return self._stack(other, other.coeffs)
+
+    def __sub__(self, other):
+        return self._stack(other, -other.coeffs)  # negation is exact
+
+    def _stack(self, other, coeffs):
+        """The rows of self and of other, the latter with ``coeffs``, merged once."""
         self._check_compatible(other)
         return OperatorSum._from_arrays(
             self.n,
             self.nsites,
-            np.concatenate((self.coeffs, other.coeffs)),
+            np.concatenate((self.coeffs, coeffs)),
             np.concatenate((self._xz, other._xz)),
         )
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
 
     def __rmul__(self, scalar):
         return OperatorSum._from_arrays(
@@ -435,11 +477,17 @@ class OperatorSum:
         if not isinstance(other, OperatorSum):
             return NotImplemented
         self._check_compatible(other)
-        n = self.n
-        cross = (self.z @ other.x.T) % n
-        coeffs = _cmul(_cmul(self.coeffs[:, None], other.coeffs[None, :]), _roots(2 * n)[2 * cross])
-        cols = np.flatnonzero(self._xz.any(axis=0) | other._xz.any(axis=0))
-        xz = (self._xz[:, None, cols] + other._xz[None, :, cols]) % n
+        return self._pair_product(other, _roots(2 * self.n)[2 * _cross(self.z, other.x, self.n)])
+
+    def _pair_product(self, other, weights, ra=slice(None), rb=slice(None)):
+        """The rows ``a + b`` of every pair of rows a of ``self[ra]`` and b of
+        ``other[rb]`` (all rows by default), with coefficient ``c_a c_b
+        weights[a, b]``, merged once."""
+        n, a, b = self.n, self._xz[ra], other._xz[rb]
+        coeffs = _cmul(_cmul(self.coeffs[ra, None], other.coeffs[None, rb]), weights)
+        cols = np.flatnonzero(a.any(axis=0) | b.any(axis=0))
+        xz = a[:, None, cols] + b[None, :, cols]
+        np.subtract(xz, n, out=xz, where=xz >= n)  # both terms lie in 0..n-1
         return OperatorSum._from_arrays(
             n, self.nsites, coeffs.ravel(), xz.reshape(coeffs.size, len(cols)), cols
         )
@@ -451,7 +499,16 @@ class OperatorSum:
         return (self - other).is_zero(tol)
 
     def commutator(self, other):
-        return self * other - other * self
+        """``self * other - other * self`` as one pair product: rows a and b
+        give the row ``a + b`` in both products, with the reordering phases
+        ``w_n^{z_a . x_b}`` and ``w_n^{x_a . z_b}``, so their difference is
+        the pair's weight, exactly 0 when the two rows commute."""
+        self._check_compatible(other)
+        n, roots = self.n, _roots(2 * self.n)
+        weights = roots[2 * _cross(self.z, other.x, n)] - roots[2 * _cross(self.x, other.z, n)]
+        # a row whose pairs all weigh 0 adds only exact zeros: leave it out
+        ra, rb = weights.any(axis=1), weights.any(axis=0)
+        return self._pair_product(other, weights[ra][:, rb], ra, rb)
 
     def support(self):
         return np.flatnonzero((self.x | self.z).any(axis=0)).tolist()
@@ -541,9 +598,18 @@ class OperatorSum:
 
     def dense_matrix(self):
         """Dense matrix of the sum; its n^(2 nsites) entries count against
-        the amplitude budget."""
+        the amplitude budget, and its up to n^nsites entries per term against
+        the nonzero budget, as for ``sparse_matrix``.  The runs of
+        ``_columns()`` are added straight in: each puts one entry in every
+        column, and distinct runs put theirs in distinct rows, so every entry
+        is 0 plus at most one value, as ``sparse_matrix().toarray()`` has it."""
         _check_budget(self.n, 2 * self.nsites)
-        return self.sparse_matrix().toarray()
+        dim = self.n**self.nsites
+        _check_nonzeros(dim * len(self.coeffs))
+        out = np.zeros((dim, dim), dtype=complex)
+        for rows, values in self._columns():
+            out[rows, np.arange(dim)] += values
+        return out
 
     def __repr__(self):
         return f"OperatorSum({len(self.coeffs)} terms, n={self.n}, sites={self.nsites})"

@@ -18,6 +18,7 @@ from gtoric.paulis import (
     PauliParseError,
     PauliString,
     _roots,
+    _word_places,
     apply_pauli,
     pauli_from_text,
     pauli_to_text,
@@ -308,6 +309,13 @@ class TestRealization:
         )
         assert np.allclose(mat.toarray(), expected, atol=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(qudit_sums)
+    def test_dense_matrix_is_sparse_matrix(self, terms):
+        s = OperatorSum(terms)
+        s = s * s - s  # products and cancellations, as validate forms them
+        assert s.dense_matrix().tobytes() == s.sparse_matrix().toarray().tobytes()
+
     def test_empty_sum(self):
         s = OperatorSum([], n=3, nsites=2)
         assert s.sparse_matrix().shape == (9, 9)
@@ -344,10 +352,15 @@ class TestBudget:
             OperatorSum.from_pauli(p).apply(vec)
 
 
+def exponents(p):
+    """The exponents of p as one tuple, x then z: the order of merged rows."""
+    return tuple(p.x.tolist()) + tuple(p.z.tolist())
+
+
 def reference_merge(terms):
     """Merge (coeff, PauliString) pairs one by one: the phase folded into the
     coefficient, equal strings summed in order, |c| <= 1e-14 dropped, sorted
-    by the exponent bytes."""
+    lexicographically by the exponent values, x then z."""
     acc, keep = {}, {}
     for c, p in terms:
         key = p.key()
@@ -358,7 +371,7 @@ def reference_merge(terms):
         for key, c in acc.items()
         if abs(c) > 1e-14
     ]
-    out.sort(key=lambda t: t[1].key())
+    out.sort(key=lambda t: exponents(t[1]))
     return out
 
 
@@ -372,6 +385,10 @@ def reference_add(a, b):
 
 def reference_sub(a, b):
     return reference_add(a, reference_merge([(-1.0 * c, p) for c, p in b]))
+
+
+def reference_commutator(a, b):
+    return reference_sub(reference_mul(a, b), reference_mul(b, a))
 
 
 def reference_projector(s, target):
@@ -388,6 +405,30 @@ def assert_same_terms(got, want):
     for (c, p), (d, q) in zip(got.terms, want):
         assert p == q
         assert abs(c - d) <= 1e-12
+
+
+def assert_same_bits(got, want):
+    """Same rows in the same order, and coefficients equal bit for bit; + 0
+    makes a zero part +0, as a sum started at 0 leaves it in both."""
+    assert [p for _, p in got.terms] == [p for _, p in want]
+    want = np.array([c for c, _ in want], dtype=complex)
+    assert (got.coeffs + 0).tobytes() == (want + 0).tobytes()
+
+
+def assert_same_commutator(got, want):
+    """Coefficients within 1e-14 on the same rows, in the same order, and the
+    same verdict of ``is_zero``.  The reference cuts each product at 1e-14
+    before the difference, the fused commutator only the difference, so a
+    row that one side alone keeps is below 2e-14."""
+    rows = dict((exponents(p), c) for c, p in want)
+    got_rows = dict((exponents(p), c) for c, p in got.terms)
+    assert list(got_rows) == sorted(got_rows)
+    for key in rows.keys() | got_rows.keys():
+        if key in rows and key in got_rows:
+            assert abs(got_rows[key] - rows[key]) <= 1e-14
+        else:
+            assert abs(got_rows.get(key, 0) + rows.get(key, 0)) < 2e-14
+    assert got.is_zero() == all(abs(d) <= 1e-12 for d, _ in want)
 
 
 def pauli_sum_pair(n):
@@ -409,6 +450,21 @@ def pauli_sum_pair(n):
     return st.composite(sums)()
 
 
+def near_strings(rng, n, nsites, size=8):
+    """Terms drawn, with repeats, from six strings that each differ from one
+    of two bases on up to three sites: rows agree on most digits and differ
+    in any key word, and sums and products merge rows often.  No base
+    exponent is 0, so every column is supported."""
+    bases = rng.integers(1, n, (2, 2, nsites)) if n > 2 else np.ones((2, 2, nsites), dtype=np.int64)
+    pool = []
+    for base in bases[rng.integers(0, 2, 6)]:
+        xz = base.copy()
+        sites = rng.integers(0, nsites, 3)
+        xz[rng.integers(0, 2, 3), sites] = rng.integers(0, n, 3)
+        pool.append(PauliString(n, xz[0], xz[1], int(rng.integers(0, 2 * n))))
+    return [(complex(rng.normal(), rng.normal()), pool[i]) for i in rng.integers(0, len(pool), size)]
+
+
 array_sums = st.sampled_from([2, 3, 4, 6]).flatmap(pauli_sum_pair)
 
 
@@ -424,11 +480,13 @@ class TestArrayAlgebra:
         ra, rb = reference_merge(a_terms), reference_merge(b_terms)
         assert_same_terms(a, ra)
         assert_same_terms(b, rb)
-        assert_same_terms(a * b, reference_mul(ra, rb))
-        assert_same_terms(b * a, reference_mul(rb, ra))
-        assert_same_terms(a + b, reference_add(ra, rb))
-        assert_same_terms(a - b, reference_sub(ra, rb))
-        assert_same_terms(a + b - b - a, reference_sub(reference_sub(reference_add(ra, rb), rb), ra))
+        assert_same_bits(a * b, reference_mul(ra, rb))
+        assert_same_bits(b * a, reference_mul(rb, ra))
+        assert_same_bits(a + b, reference_add(ra, rb))
+        assert_same_bits(a - b, reference_sub(ra, rb))
+        assert_same_bits(a + b - b - a, reference_sub(reference_sub(reference_add(ra, rb), rb), ra))
+        assert_same_commutator(a.commutator(b), reference_commutator(ra, rb))
+        assert_same_commutator(b.commutator(a), reference_commutator(rb, ra))
         assert not (a - a).terms
         assert (a - a).is_zero() and (a * (b - b)).is_zero()
 
@@ -450,6 +508,71 @@ class TestArrayAlgebra:
                 assert_same_terms(t.opsum * u.opsum, reference_mul(a, b))
                 assert_same_terms(t.opsum - u.opsum, reference_sub(a, b))
         assert (picks[0].opsum * picks[0].opsum).approx_equal(picks[0].opsum)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    @pytest.mark.parametrize("nsites", [3, 40])
+    def test_keys_of_several_words(self, n, nsites):
+        # every column is supported, so the keys span ceil(2 nsites / k) words
+        words = -(-2 * nsites // len(_word_places(n)))
+        assert words == (1 if nsites == 3 else {2: 2, 3: 3, 5: 3, 7: 4}[n])
+        rng = np.random.default_rng([n, nsites])
+        for _ in range(4):
+            a_terms, b_terms = near_strings(rng, n, nsites), near_strings(rng, n, nsites)
+            a, b = OperatorSum(a_terms), OperatorSum(b_terms)
+            assert np.hstack((a.x, a.z)).any(axis=0).all()
+            ra, rb = reference_merge(a_terms), reference_merge(b_terms)
+            assert_same_bits(a, ra)
+            assert_same_bits(a * b, reference_mul(ra, rb))
+            assert_same_bits(a + b, reference_add(ra, rb))
+            assert_same_bits(a - b, reference_sub(ra, rb))
+            assert_same_commutator(a.commutator(b), reference_commutator(ra, rb))
+            assert_same_commutator(a.commutator(a), reference_commutator(ra, ra))
+            assert a.commutator(a).is_zero()
+
+    def test_rows_in_order_of_exponent_values(self):
+        # from n = 257 on, exponent bytes no longer sort as their values:
+        # 256 is the bytes 0, 1 and 1 the bytes 1, 0
+        n, nsites = 257, 5  # 10 columns, 7 digits to a word
+        rng = np.random.default_rng(257)
+        values = [0, 1, 255, 256]
+        pool = [PauliString(n, rng.choice(values, nsites), rng.choice(values, nsites)) for _ in range(8)]
+        a_terms, b_terms = ([(complex(rng.normal(), rng.normal()), pool[i]) for i in rng.integers(0, 8, 10)]
+                            for _ in range(2))
+        a, b = OperatorSum(a_terms), OperatorSum(b_terms)
+        rows = [exponents(p) for _, p in a.terms]
+        assert rows == sorted(rows)
+        assert [p for _, p in a.terms] != sorted((p for _, p in a.terms), key=PauliString.key)
+        ra, rb = reference_merge(a_terms), reference_merge(b_terms)
+        assert_same_bits(a, ra)
+        assert_same_bits(a * b, reference_mul(ra, rb))
+        assert_same_bits(a - b, reference_sub(ra, rb))
+        assert_same_commutator(a.commutator(b), reference_commutator(ra, rb))
+
+    def test_model_commutators(self):
+        lat = Lattice("torus", 2, 2)
+        for model in ("m3exp", "zn:3"):
+            terms = build_hamiltonian(model, lat).terms
+            refs = [reference_merge(t.opsum.terms) for t in terms]
+            for i, j in ((0, 1), (0, len(terms) - 1), (len(terms) - 1, 1)):
+                got = terms[i].opsum.commutator(terms[j].opsum)
+                assert_same_commutator(got, reference_commutator(refs[i], refs[j]))
+                assert got.is_zero()
+
+    def test_one_merge_per_operation(self, monkeypatch):
+        lat = Lattice("torus", 2, 2)
+        a, b = (t.opsum for t in build_hamiltonian("m1", lat).terms[:2])
+        c = OperatorSum.from_pauli(PauliString.from_ops(2, lat.n_sites, x_at={0: 1}, z_at={1: 1}))
+        merges, products = [], []
+        merge, mul = OperatorSum._merge, OperatorSum.__mul__
+        monkeypatch.setattr(OperatorSum, "_merge", lambda self, *args: merges.append(1) or merge(self, *args))
+        monkeypatch.setattr(OperatorSum, "__mul__", lambda self, other: products.append(1) or mul(self, other))
+        for x, y in ((a, b), (a, c), (c, a), (c, c)):
+            merges.clear()
+            x.commutator(y)
+            assert len(merges) == 1 and not products
+            merges.clear()
+            x - y
+            assert len(merges) == 1 and not products
 
     @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
     def test_mismatched_dimensions_raise(self, op):
