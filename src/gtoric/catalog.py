@@ -32,8 +32,10 @@ import numpy as np
 
 from .groupoids import SisGroupoid, ZERO
 from .lattice import DIRECTIONS, FACE_CORNERS, FACE_NONSW, Lattice
+from .oracle import _check_budget
 from .paulis import (
-    OperatorSum, PauliString, PauliTable, _cmul, _roots, lattice_string, order_divides_n, pauli_to_text,
+    OperatorSum, PauliString, PauliTable, _cmul, _roots, act, clock_exponents, lattice_string,
+    order_divides_n, pauli_to_text, power_action,
 )
 
 MODEL_IDS = ("m1", "m2", "m3exp", "mhoriz", "mvert", "mnondeg", "zn", "boundary")
@@ -162,6 +164,32 @@ def product_of_projectors(factors):
     return reduce(operator.mul, (cyclic_projector(s, t) for s, t in factors))
 
 
+def projector_action(s, target):
+    """``cyclic_projector(s, target)`` prepared for ``project`` without
+    expanding it, as ``(scale, powers)``: the projector is ``scale`` times the
+    state plus each of the powers' ``paulis.act``.  A Z-only string is
+    diagonal, with eigenvalue ``w^{phase + 2 z.level}`` on a basis state, so
+    its projector is the exact 0/1 mask of the states where
+    ``2 (z.level) + phase = 2 target (mod 2n)`` and it has no powers;
+    otherwise ``scale`` is the identity's coefficient 1/n and the powers are
+    ``w_n^{-target j} s^j / n`` for j = 1..n-1."""
+    n = s.n
+    if not s.x.any():
+        return (2 * clock_exponents(n, s.z) + s.phase) % (2 * n) == 2 * target % (2 * n), ()
+    roots = _roots(n)
+    return roots[0] / n, [power_action(s, j, roots[-target * j % n] / n) for j in range(1, n)]
+
+
+def project(action, state):
+    """A projector prepared by ``projector_action`` applied to a state viewed
+    as an ``(n,) * nsites`` array."""
+    scale, powers = action
+    out = state * scale
+    for power in powers:
+        out += act(power, state)
+    return out
+
+
 # -- projector families --------------------------------------------------------
 
 
@@ -237,6 +265,23 @@ class Term:
     def opsum(self):
         """The expanded OperatorSum, built on first read and kept."""
         return product_of_projectors(self.factors)
+
+    @cached_property
+    def _actions(self):
+        """Each factor's projector prepared by ``projector_action``, the last
+        factor first: small arrays over the factors' supports."""
+        return [projector_action(s, t) for s, t in reversed(self.factors)]
+
+    def apply(self, vec):
+        """The term applied to a state vector factor by factor, never
+        through ``opsum``: the product of the factors' projectors in order,
+        so the last factor acts first."""
+        n, nsites = self.factors[0][0].n, self.factors[0][0].nsites
+        _check_budget(n, nsites)
+        state = np.asarray(vec, dtype=complex).reshape((n,) * nsites)
+        for action in self._actions:
+            state = project(action, state)
+        return state.ravel()
 
 
 @dataclass

@@ -16,6 +16,7 @@ import sys
 
 import click
 import numpy as np
+import scipy.sparse as sp
 
 from . import catalog, commutation, groupoids, oracle, stabilizer
 from .lattice import Lattice, MissingSiteError
@@ -139,11 +140,7 @@ def validate(model, lattice_spec, groupoid_spec, corner_checks, fmt):
         if bad:
             failures.append(f"{bad} terms are not projectors")
         data["terms_projectors"] = bad == 0
-        pairs_bad = 0
-        for i, a in enumerate(spec.terms):
-            for b in spec.terms[i + 1 :]:
-                if not a.opsum.commutator(b.opsum).is_zero(1e-10):
-                    pairs_bad += 1
+        pairs_bad = _noncommuting_pairs(spec.terms)
         if pairs_bad:
             failures.append(f"{pairs_bad} term pairs fail to commute")
         if spec.n == 2 and spec.lattice.topology == "torus":
@@ -159,6 +156,23 @@ def validate(model, lattice_spec, groupoid_spec, corner_checks, fmt):
     _emit(data, fmt)
     if failures:
         sys.exit(1)
+
+
+def _noncommuting_pairs(terms):
+    """How many pairs of terms have a nonzero symbolic commutator.  Terms on
+    disjoint sites act on different tensor factors and commute exactly, so
+    only the pairs that share a site are checked; one sparse product of the
+    term x site incidence with its transpose finds them."""
+    supports = [np.flatnonzero(np.any([s.x | s.z for s, _ in t.factors], axis=0)) for t in terms]
+    indptr = np.cumsum([0] + [len(sites) for sites in supports])
+    indices = np.concatenate(supports)
+    incidence = sp.csr_matrix((np.ones(len(indices)), indices, indptr))
+    overlap = sp.triu(incidence @ incidence.T, k=1).tocoo()
+    return sum(
+        1
+        for i, j in zip(overlap.row.tolist(), overlap.col.tolist())
+        if not terms[i].opsum.commutator(terms[j].opsum).is_zero(1e-10)
+    )
 
 
 def _intertwiner_deviation(g):
@@ -233,7 +247,8 @@ def excite(model, lattice_spec, op_text, seed_text, fmt):
         try:
             digits = oracle.parse_seed_config(seed_text, spec.lattice, spec.n)
             state = oracle.construct_ground_state(spec, digits)
-        except (ValueError, MissingSiteError, oracle.SeedViolatesFaceTermError) as exc:
+        except (ValueError, MissingSiteError, oracle.SeedViolatesFaceTermError,
+                oracle.SeedAnnihilatedError) as exc:
             raise click.UsageError(str(exc))
         excited = oracle.apply_pauli_to_state(err, state)
         expectations = oracle.measure_syndrome(spec, excited)

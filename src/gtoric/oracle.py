@@ -32,6 +32,17 @@ most 524,288.  No tolerance cut is applied to the matrices; for other n the
 entries carry ordinary round-off.  The count logs its sector size, the
 running product's peak nonzeros and its largest probe residual at DEBUG
 level on the ``gtoric.oracle`` logger.
+
+Ground states and syndromes never expand a term.  ``Term.apply`` acts on the
+state vector, viewed as an ``(n,) * sites`` array, factor by factor, each
+factor only on its support axes, through masks and phases that each term
+prepares once over its factors' supports.  A Z-only factor is an exact 0/1 mask of the
+states whose clock eigenvalue is the target, so no root of unity or round-off
+enters; a factor with an X part is ``(1/n) sum_j w_n^{-t j} s^j``, each power
+a phase array over its Z support and one ``np.roll`` over its X support.
+``construct_ground_state`` and ``measure_syndrome`` each log at DEBUG level
+the states, the terms and factors applied and the largest distance of any
+expectation from 0 or 1.
 """
 
 from __future__ import annotations
@@ -57,6 +68,14 @@ class BudgetExceededError(MemoryError):
 
 class InvalidBudgetError(ValueError):
     pass
+
+
+class SeedAnnihilatedError(ValueError):
+    def __init__(self, term):
+        super().__init__(
+            f"seed configuration is annihilated by the {term.kind} term at {term.location}"
+        )
+        self.term = term
 
 
 class SeedViolatesFaceTermError(ValueError):
@@ -257,36 +276,57 @@ def parse_seed_config(text, lat, n):
 
 def construct_ground_state(h, seed_digits):
     """Project a face-term-satisfying product state into the ground space by
-    applying every vertex-kind term, then verify all eigenvalues."""
+    applying every vertex-kind term, then verify all eigenvalues.
+
+    A seed whose face terms hold can still be zeroed by a vertex projection
+    (its Z checks can demand other levels); that raises
+    ``SeedAnnihilatedError`` naming the first term that zeroed it."""
     vec = basis_state(h.lattice, h.n, seed_digits)
-    bad_faces = []
-    for t in h.face_terms():
-        val = np.vdot(vec, t.opsum.apply(vec))
-        if abs(val - 1.0) > TOL:
-            bad_faces.append(t.location)
+    faces, vertices = h.face_terms(), h.vertex_terms()
+    checks = [np.vdot(vec, t.apply(vec)) for t in faces]
+    bad_faces = [t.location for t, val in zip(faces, checks) if abs(val - 1.0) > TOL]
     if bad_faces:
         raise SeedViolatesFaceTermError(bad_faces)
-    for t in h.vertex_terms():
-        vec = t.opsum.apply(vec)
-    norm = np.linalg.norm(vec)
-    if norm < 1e-12:
-        raise AssertionError("vertex projection annihilated the seed")
-    vec = vec / norm
-    for val in measure_syndrome(h, vec):
-        if abs(val - 1.0) > TOL:
-            raise AssertionError("constructed state is not a joint +1 eigenstate")
+    for t in vertices:
+        vec = t.apply(vec)
+        if np.linalg.norm(vec) < 1e-12:
+            raise SeedAnnihilatedError(t)
+    vec = vec / np.linalg.norm(vec)
+    values = measure_syndrome(h, vec)
+    if any(abs(val - 1.0) > TOL for val in values):
+        raise AssertionError("constructed state is not a joint +1 eigenstate")
+    _log_applied("construct_ground_state", len(vec), faces + vertices + h.terms, checks + values)
     return vec
 
 
 def measure_syndrome(h, vec):
-    """Expectation value of every term on the state vector, in term order."""
+    """Expectation value of every term on the state vector, in term order;
+    each term acts through its factors."""
     out = []
     for t in h.terms:
-        val = np.vdot(vec, t.opsum.apply(vec))
+        val = np.vdot(vec, t.apply(vec))
         if abs(val.imag) > 1e-8:
             raise AssertionError("term expectation unexpectedly complex")
         out.append(float(val.real))
+    _log_applied("measure_syndrome", len(vec), h.terms, out)
     return out
+
+
+def _log_applied(name, states, terms, values):
+    """One DEBUG record of the terms and factors applied to a state and the
+    largest distance of any expectation from 0 or 1."""
+    stats = {
+        "states": states,
+        "terms": len(terms),
+        "factors": sum(len(t.factors) for t in terms),
+        "deviation": max((min(abs(v), abs(v - 1)) for v in values), default=0.0),
+    }
+    log.debug(
+        f"{name}: %(terms)d terms, %(factors)d factors applied on %(states)d states, "
+        "largest expectation distance from 0 or 1 %(deviation).3g",
+        stats,
+        extra=stats,
+    )
 
 
 def apply_pauli_to_state(p, vec):

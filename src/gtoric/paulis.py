@@ -284,16 +284,60 @@ def _digit_table(n, nsites, sites, states=None):
 
 def pauli_permutation(p):
     """(row_indices, diagonal_values) realizing the string as a generalized
-    permutation matrix: ``M[rows[i], i] = diag[i]``."""
+    permutation matrix: ``M[rows[i], i] = diag[i]``.  The package no longer
+    calls it; ``perfbench/spans.py`` traces it by name."""
     return next(OperatorSum.from_pauli(p)._columns())
 
 
-def apply_pauli(p, vec):
-    _check_budget(p.n, p.nsites)
-    rows, diag = pauli_permutation(p)
-    out = np.zeros(len(vec), dtype=complex)
-    out[rows] = diag * np.asarray(vec, dtype=complex)
+def clock_exponents(n, z, j=1):
+    """``sum_s j z_s (d_s + 1) mod n`` over the sites where z is nonzero, for
+    digits d_s in 0..n-1 (levels 1..n): an array with an axis of length n on
+    each of those sites and of length 1 on every other, which broadcasts
+    over a state viewed as an ``(n,) * nsites`` array.  It is built one
+    supported site at a time, so it never holds more than its n^support
+    entries."""
+    exps = z.tolist()
+    levels = np.arange(1, n + 1)
+    out = np.zeros((), dtype=np.int64)
+    for e in exps:
+        if e:
+            out = out[..., None] + j * e * levels
+    return (out % n).reshape([n if e else 1 for e in exps])
+
+
+def power_action(p, j, coeff=1.0):
+    """``coeff * p^j`` prepared for :func:`act` as ``(weights, shifts,
+    axes)``.  For ``p = w^phase X^x Z^z`` the power is
+    ``w^{j phase + j(j-1) x.z} X^{jx} Z^{jz}``: Z acts first, so the global
+    phase and the clock phases ``w_n^{j z_s (d_s + 1)}`` form one array over
+    the Z support, and X^{jx} rolls each X support axis by ``j x_s``.  ``act``
+    rolls the state before it multiplies, so the phases are rolled alike."""
+    n = p.n
+    phase = (j * p.phase + j * (j - 1) * int(p.x @ p.z)) % (2 * n)
+    weights = coeff * _roots(2 * n)[(phase + 2 * clock_exponents(n, p.z, j)) % (2 * n)]
+    shift = [j * e % n for e in p.x.tolist()]
+    axes = tuple(a for a, e in enumerate(shift) if e)
+    shifts = tuple(shift[a] for a in axes)
+    if any(weights.shape[a] > 1 for a in axes):  # the phases meet the X support
+        weights = np.roll(weights, shifts, axes)
+    return weights, shifts, axes
+
+
+def act(action, state):
+    """A power prepared by :func:`power_action` applied to a state viewed as
+    an ``(n,) * nsites`` array: one ``np.roll`` over the X support axes into
+    a new array, which the phases then multiply in place."""
+    weights, shifts, axes = action
+    out = np.roll(state, shifts, axes)
+    out *= weights
     return out
+
+
+def apply_pauli(p, vec):
+    """The string applied to a state vector: the power-1 case of :func:`act`."""
+    _check_budget(p.n, p.nsites)
+    state = np.asarray(vec, dtype=complex).reshape((p.n,) * p.nsites)
+    return act(power_action(p, 1), state).ravel()
 
 
 @functools.lru_cache(maxsize=None)

@@ -9,8 +9,11 @@ import pytest
 from click.testing import CliRunner
 
 import gtoric
-from gtoric.cli import main
+from gtoric.catalog import Term, build_hamiltonian
+from gtoric.cli import _noncommuting_pairs, main
 from gtoric.groupoids import make_sis_groupoid
+from gtoric.lattice import Lattice
+from gtoric.paulis import lattice_string
 
 
 @pytest.fixture()
@@ -117,6 +120,29 @@ class TestValidate:
         res = runner.invoke(main, ["validate", "--groupoid", f"file:{path}"])
         assert res.exit_code == 0
         assert "axioms: pass" in res.output
+
+def all_pairs(terms):
+    """Non-commuting term pairs counted over every pair, the reference."""
+    return sum(
+        1
+        for i, a in enumerate(terms)
+        for b in terms[i + 1 :]
+        if not a.opsum.commutator(b.opsum).is_zero(1e-10)
+    )
+
+
+class TestCommutingPairs:
+    def test_overlapping_pairs_match_all_pairs(self):
+        terms = build_hamiltonian("m1", Lattice("torus", 4, 4)).terms
+        assert _noncommuting_pairs(terms) == all_pairs(terms) == 0
+
+    def test_injected_term_fails_once(self):
+        # Z on (0,0).W fails to commute only with the X check of vertex (0,0)
+        spec = build_hamiltonian("m1", Lattice("torus", 4, 4))
+        z = lattice_string(spec.lattice, 2, z=[((0, 0, "W"), 1)])
+        terms = spec.terms + [Term("probe", (0, 0), [(z, 0)])]
+        assert _noncommuting_pairs(terms) == all_pairs(terms) == 1
+
 
 class TestGsd:
     def test_python_m_gtoric(self):
@@ -269,6 +295,17 @@ class TestExcite:
         assert res.exit_code == 2
         assert isinstance(res.exception, SystemExit)  # a usage error, not a traceback
         assert "(0, 0, 'W')" in res.output
+
+    def test_annihilated_seed(self, runner):
+        # the face term holds, and the corner vertex's projection zeroes the seed
+        res = runner.invoke(
+            main,
+            ["excite", "--model", "boundary", "--lattice", "open:1x1", "--op", "Z@(0,0).N",
+             "--seed-config", "all=1 (0,0).N=2 (0,0).E=2 (1,0).W=2"],
+        )
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)  # a usage error, not a traceback
+        assert "annihilated by the corner-vertex term at (0, 0)" in res.output
 
     def test_bad_pauli_token(self, runner):
         res = runner.invoke(main, ["excite", "--model", "m1", "--op", "Q@(1,1).E"])

@@ -10,10 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtoric import oracle, stabilizer
-from gtoric.catalog import build_hamiltonian, cyclic_projector, ketbra, level_projector
+from gtoric.catalog import (
+    build_hamiltonian, cyclic_projector, ketbra, level_projector, project, projector_action,
+)
 from gtoric.lattice import Lattice
 from gtoric.oracle import (
     BudgetExceededError,
+    SeedAnnihilatedError,
     SeedViolatesFaceTermError,
     apply_pauli_to_state,
     basis_state,
@@ -27,6 +30,7 @@ from gtoric.paulis import OperatorSum, PauliString
 
 
 M1_SEED = "all=1 E=2 W=2"  # satisfies every m1 face term
+TORUS_MODELS = ("m1", "m2", "m3exp", "mhoriz", "mvert", "zn:2", "mnondeg")
 
 
 class TestBudget:
@@ -51,6 +55,15 @@ class TestBudget:
         monkeypatch.setenv("GTORIC_BUDGET", "511")
         with pytest.raises(BudgetExceededError):
             ground_space_dimension(spec)
+
+    def test_term_apply_refused(self, monkeypatch):
+        spec = build_hamiltonian("boundary", Lattice("open", 1, 1))  # 256 amplitudes
+        vec = np.ones(256, dtype=complex)
+        monkeypatch.setenv("GTORIC_BUDGET", "256")
+        spec.terms[0].apply(vec)
+        monkeypatch.setenv("GTORIC_BUDGET", "255")
+        with pytest.raises(BudgetExceededError):
+            spec.terms[0].apply(vec)
 
 
 class TestGroundSpace:
@@ -132,6 +145,16 @@ class TestSeeds:
             construct_ground_state(spec, digits)
         assert len(err.value.faces) == 4
 
+    def test_annihilated_seed_names_the_term(self):
+        # the face term holds, but the corner vertex's Z check wants (0,0).N and
+        # (0,0).E at unequal levels
+        spec = build_hamiltonian("boundary", Lattice("open", 1, 1))
+        digits = parse_seed_config("all=1 (0,0).N=2 (0,0).E=2 (1,0).W=2", spec.lattice, 2)
+        with pytest.raises(SeedAnnihilatedError) as err:
+            construct_ground_state(spec, digits)
+        assert (err.value.term.kind, err.value.term.location) == ("corner-vertex", (0, 0))
+        assert "corner-vertex term at (0, 0)" in str(err.value)
+
     def test_ground_state_from_seed(self):
         spec = build_hamiltonian("m1", Lattice("torus", 2, 2))
         digits = parse_seed_config(M1_SEED, spec.lattice, 2)
@@ -199,6 +222,53 @@ class TestSecondSize:
         assert ground_space_dimension(h) == count
         assert trace_product([t.opsum for t in h.terms], h.lattice, h.n) == count
         assert stabilizer.gsd(stabilizer.StabilizerModel.from_hamiltonian(h)) == count
+
+
+@st.composite
+def order_n_factors(draw):
+    """A (string, target) factor with ``s^n = 1`` for n in {3, 4, 6} on 4 or
+    5 sites; half of the strings are Z-only."""
+    n = draw(st.sampled_from([3, 4, 6]))
+    nsites = draw(st.integers(4, 5))
+    exps = st.lists(st.integers(0, n - 1), min_size=nsites, max_size=nsites)
+    x = draw(exps) if draw(st.booleans()) else [0] * nsites
+    p = PauliString(n, x, draw(exps))
+    # the phase's parity cancels the residue of p^n, so the projector is defined
+    s = PauliString(n, p.x, p.z, 2 * draw(st.integers(0, n - 1)) + (p**n).phase // n)
+    return s, draw(st.integers(0, n - 1))
+
+
+class TestFactorAction:
+    """Terms act on states through their factors, as their expansions do."""
+
+    @pytest.mark.parametrize("model, spec", [(m, ("torus", 2, 2)) for m in TORUS_MODELS] + [
+        ("boundary", ("open", 1, 1)), ("boundary", ("open", 1, 2)),
+    ])
+    def test_term_apply_is_opsum_apply(self, model, spec):
+        # n = 2: every coefficient and mask is exact, so the two agree bit for bit
+        h = build_hamiltonian(model, Lattice(*spec))
+        rng = np.random.default_rng(3)
+        dim = h.n**h.lattice.n_sites
+        vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        for t in h.terms:
+            assert np.array_equal(t.apply(vec), t.opsum.apply(vec))
+
+    @settings(max_examples=120, deadline=None)
+    @given(order_n_factors(), st.integers(0, 2**32 - 1))
+    def test_factor_projector_is_cyclic_projector(self, factor, seed):
+        s, target = factor
+        rng = np.random.default_rng(seed)
+        dim = s.n**s.nsites
+        vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        got = project(projector_action(s, target), vec.reshape((s.n,) * s.nsites)).ravel()
+        want = cyclic_projector(s, target).apply(vec)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_oracle_never_expands_a_term(self):
+        spec = build_hamiltonian("m1", Lattice("torus", 2, 2))
+        state = construct_ground_state(spec, parse_seed_config(M1_SEED, spec.lattice, 2))
+        measure_syndrome(spec, state)
+        assert not any("opsum" in t.__dict__ for t in spec.terms)
 
 
 def sector_factor(draw, n, nsites):
@@ -282,6 +352,25 @@ class TestLogging:
         assert (rec.sector, rec.states, rec.peak_nnz) == (512, 65536, 8192)
         assert 0 <= rec.residual < 1e-12
         assert "sector 512 of 65536 states" in rec.getMessage()
+
+    def test_seed_and_syndrome_report_their_work(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="gtoric.oracle")
+        spec = build_hamiltonian("m1", Lattice("torus", 2, 2))  # 4 vertex and 4 face terms
+        state = construct_ground_state(spec, parse_seed_config(M1_SEED, spec.lattice, 2))
+        err = PauliString.from_ops(2, spec.lattice.n_sites, z_at={0: 1})
+        measure_syndrome(spec, apply_pauli_to_state(err, state))
+        # the final check of construct_ground_state measures the state first
+        check, built, measured = [r for r in caplog.records if r.name == "gtoric.oracle"]
+        assert (check.terms, check.factors) == (8, 12)
+        # 4 face checks, 4 vertex projections and the 8-term final check; a
+        # vertex term has two factors, a face term one
+        assert (built.states, built.terms, built.factors) == (65536, 16, 24)
+        assert (measured.states, measured.terms, measured.factors) == (65536, 8, 12)
+        for rec in (check, built, measured):
+            assert rec.levelno == logging.DEBUG
+            assert 0 <= rec.deviation < 1e-12
+        assert built.getMessage().startswith("construct_ground_state: 16 terms, 24 factors")
+        assert measured.getMessage().startswith("measure_syndrome: 8 terms, 12 factors")
 
     def test_silent_by_default(self, capfd):
         ground_space_dimension(build_hamiltonian("boundary", Lattice("open", 1, 1)))

@@ -316,6 +316,16 @@ class TestRealization:
         s = s * s - s  # products and cancellations, as validate forms them
         assert s.dense_matrix().tobytes() == s.sparse_matrix().toarray().tobytes()
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.integers(0, 2**32 - 1))
+    def test_apply_pauli_is_dense_product(self, data, seed):
+        n = data.draw(st.sampled_from([2, 3, 4, 6]))
+        p = data.draw(st.composite(lambda draw: random_pauli(draw, n, draw(st.integers(1, 4))))())
+        p = PauliString(n, p.x, p.z, data.draw(st.integers(1, 2 * n - 1)))  # a nonzero phase
+        rng = np.random.default_rng(seed)
+        vec = rng.normal(size=n**p.nsites) + 1j * rng.normal(size=n**p.nsites)
+        np.testing.assert_allclose(apply_pauli(p, vec), to_matrix(p) @ vec, rtol=0, atol=1e-12)
+
     def test_empty_sum(self):
         s = OperatorSum([], n=3, nsites=2)
         assert s.sparse_matrix().shape == (9, 9)
