@@ -9,23 +9,27 @@ against the echelon rows.  For composite n one ``smith_normal_form`` over Z_n
 gives the order and the relations from the diagonal and the left transform,
 and membership from one product with the right transform.
 
-For n = 2, the case of most catalog models, ``row_echelon_mod_p`` packs each
-row of ``[mat | I]`` into one Python int and eliminates by XOR, the packed
-tableau of Aaronson and Gottesman (2004); odd p keeps a column loop with one
-array update per pivot.  Both return the same reduced echelon form, so one
-contract serves every prime.  The Smith form splits Z_n by the Chinese
-remainder theorem into its Z_{p^k} parts (Hostens, Dehaene and De Moor,
-2005), eliminates each part on pivots of least p-adic valuation (a prime
-part runs the same private elimination as ``row_echelon_mod_p``), and joins
-the parts' transforms with the CRT idempotents.  No entry or product-sum
-leaves int64 within the ``StabilizerModel`` bound ``4 L n^2 < 2^63``.  The
-two functions keep their names and stay module globals, called through the
+Every prime field eliminates on rows of ``[mat | I]`` packed into Python
+ints, the packed tableau of Aaronson and Gottesman (2004): for p = 2 one bit
+per entry, reduced by XOR (``_echelon_gf2``); for odd p one byte-aligned
+field per entry, added mod p field by field with one carry test on each
+field's high bit (``_echelon_packed``).  Both return the unique reduced
+echelon form, so one contract serves every prime.  The Smith form splits
+Z_n by the Chinese remainder theorem into its Z_{p^k} parts (Hostens,
+Dehaene and De Moor, 2005).  A prime part runs the same packed kernel as
+``row_echelon_mod_p``; a part Z_{p^k} with k >= 2 is eliminated in int64
+arrays on pivots of least p-adic valuation (``_echelon_local``).  The parts'
+transforms are joined with the CRT idempotents.  No entry or product-sum
+leaves int64 within the ``StabilizerModel`` bound ``4 L n^2 < 2^63``.
+``elimination_path`` names the kernels a modulus uses.  The two public
+functions keep their names and stay module globals, called through the
 module, because ``perfbench``'s tracer wraps them by name to count and time
 each decomposition.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import prod
 from typing import Callable
@@ -33,6 +37,7 @@ from typing import Callable
 import numpy as np
 
 
+@functools.lru_cache(maxsize=None)
 def _prime_powers(n):
     """The ``(p, k)`` with ``p^k`` exactly dividing n, by increasing p."""
     parts = []
@@ -47,11 +52,11 @@ def _prime_powers(n):
         p += 1
     if n > 1:
         parts.append((n, 1))
-    return parts
+    return tuple(parts)
 
 
 def is_prime(n):
-    return _prime_powers(n) == [(n, 1)]
+    return _prime_powers(n) == ((n, 1),)
 
 
 # -- prime fields -------------------------------------------------------------
@@ -63,22 +68,40 @@ def _inv_mod(a, p):
 
 def row_echelon_mod_p(mat, p):
     """Return (reduced echelon matrix, pivot column list, transform T) with
-    ``T @ mat == echelon (mod p)``; T is square and invertible mod p.
+    ``T @ mat == echelon (mod p)``; T is square and invertible mod p, and
+    its rows below the pivot rows span the relations ``{j : j @ mat == 0}``.
 
-    The reduced echelon form and its pivots are unique; over GF(2) T is
-    not, and any T with those properties may be returned.  For p = 2 each
-    row of ``[mat | I]`` is packed into one Python int and reduced by XOR
-    (``_echelon_gf2``).  For odd p the columns are eliminated one at a time
-    (``_echelon_local`` with k = 1).  Both results are C-contiguous int64
-    arrays.  Like ``smith_normal_form``, the function keeps its name and one
-    entry point for every prime, since the benchmark's tracer wraps it by
-    name.
+    The reduced echelon form and its pivots are unique; T is not when rows
+    are dependent, and any T with those properties may be returned.  Rows
+    are packed into Python ints: one bit per entry and XOR for p = 2
+    (``_echelon_gf2``), one field per entry and field-wise addition mod p
+    for odd p (``_echelon_packed``).  Both results are C-contiguous int64
+    arrays.  A p that is not prime raises ``ValueError``.  Like
+    ``smith_normal_form``, the function keeps its name and one entry point
+    for every prime, since the benchmark's tracer wraps it by name.
     """
-    mat = np.asarray(mat, dtype=np.int64)
+    if not is_prime(p):
+        raise ValueError(f"row_echelon_mod_p needs a prime modulus, got {p}")
+    return _echelon_prime(np.asarray(mat, dtype=np.int64), p)
+
+
+def _echelon_prime(mat, p):
+    """The packed kernel of the prime p on an int64 matrix."""
     if p == 2:
         return _echelon_gf2(np.ascontiguousarray(mat, dtype="<i8"))
-    ech, pivots, _, t = _echelon_local(mat, p, 1)
-    return ech, pivots, t
+    return _echelon_packed(mat, p)
+
+
+def elimination_path(n):
+    """The kernel that eliminates over Z_n, for a modulus n >= 2:
+    ``GF(2) bitset`` or ``GF(p) packed`` for a prime, and for composite n
+    the Smith form's CRT parts, e.g. ``CRT Smith form: Z_4 sweep + GF(3)
+    packed``."""
+    parts = [
+        "GF(2) bitset" if p**k == 2 else f"GF({p}) packed" if k == 1 else f"Z_{p**k} sweep"
+        for p, k in _prime_powers(n)
+    ]
+    return parts[0] if is_prime(n) else "CRT Smith form: " + " + ".join(parts)
 
 
 def _echelon_local(mat, p, k):
@@ -94,8 +117,8 @@ def _echelon_local(mat, p, k):
     pivot column reduced mod p^v: zero below the pivot and in the pivot rows
     of the same level.  Each pivot updates the block of ``[mat | T]`` under
     its row's nonzero columns in one array expression; no int64 entry
-    exceeds q^2 on the way.  For k = 1 this is the reduced echelon form over
-    GF(p) and its unique transform.
+    exceeds q^2 on the way.  Only the parts with k >= 2 run it; a prime
+    field runs a packed kernel.
     """
     q = p**k
     rows, cols = mat.shape
@@ -177,6 +200,94 @@ def _echelon_gf2(mat):
     return ech, pivots, t
 
 
+def _echelon_packed(mat, p):
+    """``row_echelon_mod_p`` for an odd prime p on rows packed into Python
+    ints.
+
+    Row i of ``[mat | I]`` becomes one int of byte-aligned fields of w = 8B
+    bits, B the least of 1, 2, 4 and 8 with ``2p <= 2^(w-1)``: column c of
+    mat is field c from the top and transform column j field j of the
+    ``rows`` lowest, so a row's leading column is read off its
+    ``bit_length``.  Two rows add mod p field by field: their sum s has
+    every field below 2p, no carry crosses a field, and adding ``2^(w-1) -
+    p`` to every field sets a field's high bit exactly where ``s >= p``,
+    which marks the fields to subtract p from.  Each row in turn has the
+    stored row of its leading column added, times the multiple that clears
+    that column, until it leads with a new pivot (and is scaled to a
+    leading 1 and stored) or its mat part is zero (and its transform part
+    is a relation).  Multiples of a stored row are formed by doubling on
+    first use and kept.  Back-substitution in decreasing pivot order then
+    clears the set fields of each row's pivot columns, highest first, which
+    gives the unique reduced echelon form.  Before back-substitution the
+    transform is lower triangular in row order with a nonzero diagonal, so
+    T stays invertible.
+    """
+    rows, cols = mat.shape
+    size = next(b for b in (1, 2, 4, 8) if 2 * p <= 1 << (8 * b - 1))
+    w, fields = 8 * size, cols + rows
+    tw, top = w * rows, w * fields  # bits of the transform part, and of a row
+    high = int.from_bytes((1 << (w - 1)).to_bytes(size, "big") * fields, "big")
+    lift = int.from_bytes(((1 << (w - 1)) - p).to_bytes(size, "big") * fields, "big")
+
+    def add(a, b):
+        s = a + b
+        return s - (((s + lift) & high) >> (w - 1)) * p
+
+    def scale(x, f):  # f x for 0 < f < p, by doubling
+        out = None
+        while True:
+            if f & 1:
+                out = x if out is None else add(out, x)
+            f >>= 1
+            if not f:
+                return out
+            x = add(x, x)
+
+    def multiple(c, f):
+        kept = multiples[c]
+        x = kept.get(f)
+        if x is None:
+            x = kept[f] = scale(stored[c], f)
+        return x
+
+    stored, multiples = {}, {}  # pivot column -> row, and -> {f: f row}
+    relations = []
+    packed = (mat % p).astype(f">u{size}").tobytes()
+    width = cols * size
+    for i in range(rows):
+        x = int.from_bytes(packed[i * width : (i + 1) * width], "big") << tw | 1 << (w * (rows - 1 - i))
+        while (length := x.bit_length()) > tw:
+            c = (top - length) // w
+            v = x >> (top - w * (c + 1))  # the leading field: every field above it is zero
+            if c not in stored:
+                stored[c], multiples[c] = scale(x, _inv_mod(v, p)), {}
+                break
+            x = add(x, multiple(c, p - v))
+        else:
+            relations.append(x)
+    pivots = sorted(stored)
+    mask = np.zeros(fields, dtype=f">u{size}")
+    mask[pivots] = (1 << w) - 1
+    pivot_fields = int.from_bytes(mask.tobytes(), "big")
+    for c in reversed(pivots):
+        x = stored[c]
+        other = x & pivot_fields ^ 1 << (top - w * (c + 1))
+        if not other:
+            continue  # the row is reduced already, and its kept multiples stay valid
+        while other:
+            d = (top - other.bit_length()) // w
+            shift = top - w * (d + 1)
+            v = other >> shift
+            other ^= v << shift
+            x = add(x, multiple(d, p - v))
+        stored[c], multiples[c] = x, {}
+    ordered = [stored[c] for c in pivots] + relations
+    out = np.frombuffer(b"".join(x.to_bytes(top // 8, "big") for x in ordered), dtype=f">u{size}")
+    out = out.reshape(rows, fields)
+    ech, t = (np.ascontiguousarray(part, dtype=np.int64) for part in (out[:, :cols], out[:, cols:]))
+    return ech, pivots, t
+
+
 # -- Smith form over Z_n ------------------------------------------------------
 
 
@@ -187,20 +298,24 @@ def smith_normal_form(mat, n):
     u and v are int64 arrays with entries in [0, n), invertible mod n; d has
     ``min(rows, cols)`` entries, each a divisor of n (n itself for a zero),
     with d[i] dividing d[i + 1].  Each part Z_q, q = p^k exactly dividing n,
-    is one elimination of ``mat mod q`` (``_echelon_gf2`` for q = 2,
-    otherwise ``_echelon_local``), whose pivot of level v contributes p^v to
-    its d[i]; levels rise down the rows, so the divisibility chain holds in
-    every part.  The parts' transforms, their rows scaled by units mod q so
-    that each part gives the same d, are joined with the CRT idempotents
-    e_q (1 mod q, 0 mod n / q): ``u = sum e_q u_q`` and ``v = sum e_q v_q``.
+    is one elimination of ``mat mod q``: the packed kernel of the prime for
+    k = 1 (``_echelon_gf2`` or ``_echelon_packed``), otherwise
+    ``_echelon_local``, whose pivot of level v contributes p^v to its d[i];
+    levels rise down the rows, so the divisibility chain holds in every
+    part.  The parts' transforms, their rows scaled by units mod q so that
+    each part gives the same d, are joined with the CRT idempotents e_q
+    (1 mod q, 0 mod n / q): ``u = sum e_q u_q`` and ``v = sum e_q v_q``.
+    An n below 2 raises ``ValueError``.
     """
+    if n < 2:
+        raise ValueError(f"Z_n needs a modulus n >= 2, got {n}")
     mat = np.asarray(mat, dtype=np.int64)
     rows, cols = mat.shape
     size = min(rows, cols)
     parts = []
     for p, k in _prime_powers(n):
-        if p**k == 2:
-            ech, pivots, t = _echelon_gf2(np.ascontiguousarray(mat, dtype="<i8"))
+        if k == 1:
+            ech, pivots, t = _echelon_prime(mat, p)
             levels = [0] * len(pivots)
         else:
             ech, pivots, levels, t = _echelon_local(mat, p, k)
@@ -294,7 +409,8 @@ class RowGroup:
 
 def row_group(mat, n):
     """Decompose mat once: ``row_echelon_mod_p`` for prime n, otherwise
-    ``smith_normal_form`` over Z_n."""
+    ``smith_normal_form`` over Z_n, which refuses an n below 2 with
+    ``ValueError``."""
     mat = np.asarray(mat, dtype=np.int64)
     rows, cols = mat.shape
     if is_prime(n):

@@ -241,11 +241,17 @@ class PauliTable:
             out.append((gens, rows))
         return tuple(out)
 
+    @functools.cached_property
+    def part_entries(self):
+        """The nonzero exponents of ``x`` and of ``z``, each part as
+        (generator, site, exponent) arrays: ``(x_entries, z_entries)``."""
+        return tuple((gens[r], c, value) for gens, r, c, value in self._nonzero)
+
     def entries(self):
         """The nonzero exponents as (generator, column of ``[x|z]``,
         exponent) arrays, ordered by generator, and within one by part."""
-        (xg, xr, xc, xv), (zg, zr, zc, zv) = self._nonzero
-        gen = np.concatenate((xg[xr], zg[zr]))
+        (xg, xc, xv), (zg, zc, zv) = self.part_entries
+        gen = np.concatenate((xg, zg))
         order = np.argsort(gen, kind="stable")  # the x columns of a generator come first
         return gen[order], np.concatenate((xc, zc + self.nsites))[order], np.concatenate((xv, zv))[order]
 

@@ -10,16 +10,17 @@ analysis then works on two blocks, the X rows on the x columns and the Z
 rows on the z columns: the generated group is the direct product of theirs,
 and its relations are theirs.  Any other table is one block.  One analysis
 per model, shared with target-flipped copies, checks ``X Z^T - Z X^T == 0
-(mod n)`` with one sparse product of the X rows by the Z rows, and
-decomposes each block once (``linalg.row_group``: echelon form for prime n,
-by XOR on bit-packed rows for n = 2, and otherwise the Smith form over Z_n,
-one int64 elimination per prime-power part joined by the CRT) into its
+(mod n)`` by joining the table's x and z entries on site, with no matrix
+built, and decomposes each block once (``linalg.row_group``: echelon form
+for prime n, on rows packed into Python ints, and otherwise the Smith form
+over Z_n, one elimination per prime-power part joined by the CRT) into its
 group order, the relations among its generators and a membership test.  The
 ground space has dimension ``n^sites / |group|`` when every relation
 multiplies out to the phase the targets demand (in a pure block, the linear
 ``sum r_i (p_i - 2 t_i) = 0 (mod 2n)``), and zero (a frustrated model)
-otherwise.  Each count logs its blocks and the seconds of each stage as one
-DEBUG record on the ``gtoric.stabilizer`` logger, silent by default.
+otherwise.  Each count logs its blocks, the kernel that eliminated them
+(``linalg.elimination_path``) and the seconds of each stage as one DEBUG
+record on the ``gtoric.stabilizer`` logger, silent by default.
 Syndromes, classification and the logical basis read one sparse ``[X|Z]``
 table, written from the table's nonzero entries on first use; an error's
 eigenvalue shifts are one product ``(Z x_e - X z_e) mod n``.  All of it is
@@ -161,21 +162,36 @@ class StabilizerModel:
 
     def check_commuting(self):
         """Raise unless ``X Z^T - Z X^T == 0 (mod n)`` for the generators'
-        exponents, i.e. unless every pair commutes.  One product of the
-        table's x rows by its z rows gives every nonzero x_i.z_j.  In a CSS
-        table that is the X block times the Z block transposed, and no
-        entry meets its transpose: two pure rows of one kind commute."""
-        (x_gens, x), (z_gens, z) = self.table.sparse
-        form = (x @ z.T).tocoo()
-        i, j, data = x_gens[form.row], z_gens[form.col], form.data  # x_i.z_j
-        if not self.table.css:
-            g = len(self.generators)
-            xz = sp.csr_matrix((data, (i, j)), shape=(g, g))
-            clash = sp.triu(xz - xz.T, k=1, format="coo")
-            i, j, data = clash.row, clash.col, clash.data
-        bad = data % self.n != 0
-        if bad.any():
-            i, j = min(zip(np.minimum(i, j)[bad], np.maximum(i, j)[bad]))
+        exponents, i.e. unless every pair commutes; the error names the
+        least clashing pair (i, j), i < j.
+
+        Every nonzero x_i.z_j is a sum over the sites where an x entry of
+        generator i meets a z entry of generator j, so the table's x and z
+        entries are joined on site: the z entries sorted by site and counted
+        per site, each x entry repeated once per z entry on its site, and the
+        products summed per pair.  x_i.z_j and x_j.z_i go to one pair (min,
+        max) with opposite signs, so a table that is not CSS is checked the
+        same way; in a CSS table no pair meets its transpose, since two pure
+        rows of one kind commute.  No matrix is built."""
+        n, g = self.n, len(self.table)
+        (xg, xs, xv), (zg, zs, zv) = self.table.part_entries
+        order = np.argsort(zs, kind="stable")
+        zg, zv = zg[order], zv[order]
+        on_site = np.bincount(zs, minlength=self.nsites)  # z entries per site
+        lo, count = (np.cumsum(on_site) - on_site)[xs], on_site[xs]
+        xe = np.repeat(np.arange(len(xs)), count)  # the x entry and the z entry of each product
+        if not len(xe):
+            return
+        ze = np.arange(len(xe)) + np.repeat(lo - np.cumsum(count) + count, count)
+        i, j = xg[xe], zg[ze]
+        value = xv[xe] * zv[ze] * np.sign(j - i)  # each below n^2, as StabilizerModel bounds
+        pair = np.minimum(i, j) * g + np.maximum(i, j)
+        order = np.argsort(pair, kind="stable")
+        pair, value = pair[order], value[order]
+        first = np.flatnonzero(np.concatenate(([True], pair[1:] != pair[:-1])))  # of each pair's run
+        bad = first[np.add.reduceat(value, first) % n != 0]
+        if len(bad):
+            i, j = divmod(int(pair[bad[0]]), g)
             raise InvalidModelError(f"generators {i} and {j} do not commute")
 
     @cached_property
@@ -273,12 +289,6 @@ def _check_relations(relations, parts, n):
             raise AssertionError("relation vector is not actually a relation")
 
 
-def _path(n):
-    if n == 2:
-        return "GF(2) bitset"
-    return "prime field" if linalg.is_prime(n) else "CRT Smith form"
-
-
 def phase_consistent(m):
     """Whether every relation among generators is compatible with the targets:
     for ``s_i = w^{p_i} X^{x_i} Z^{z_i}``, ``prod_i s_i^{r_i}`` has phase
@@ -306,8 +316,8 @@ def phase_consistent(m):
 def gsd(m):
     """Ground-space dimension as an exact integer (0 when frustrated).  Logs
     one DEBUG record on ``gtoric.stabilizer``: each block's shape,
-    elimination path, group order and relation count, and the seconds of the
-    table, check, elimination and consistency stages."""
+    elimination kernel, group order and relation count, and the seconds of
+    the table, check, elimination and consistency stages."""
     split = m._split
     order = math.prod(b.group.order for b in split.blocks)
     began = time.perf_counter()
@@ -325,8 +335,9 @@ def gsd(m):
 def _log_count(m, blocks, seconds):
     if not log.isEnabledFor(logging.DEBUG):
         return
+    path = linalg.elimination_path(m.n)  # every block eliminates over Z_n
     stats = [
-        {"block": b.label, "shape": b.shape, "path": _path(m.n), "order": b.group.order,
+        {"block": b.label, "shape": b.shape, "path": path, "order": b.group.order,
          "relations": len(b.group.relations)}
         for b in blocks
     ]

@@ -1,5 +1,6 @@
 """Modular linear algebra: echelon forms, Smith forms, span tests."""
 
+import warnings
 from math import gcd
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gtoric.linalg import RowGroup, row_echelon_mod_p, row_group, smith_normal_form
+from gtoric.linalg import RowGroup, elimination_path, row_echelon_mod_p, row_group, smith_normal_form
 
 
 def reference_smith(mat):
@@ -303,13 +304,18 @@ def reference_rank(mat, p):
     return len(reference_echelon(mat, p)[1])
 
 
+# 67, 257, 65537 and 2^28 - 57 need packed fields of 2, 2, 4 and 4 bytes
+ECHELON_PRIMES = (2, 2, 3, 5, 7, 67, 257, 65537, 2**28 - 57)
+
+
 @st.composite
 def echelon_inputs(draw):
     """Signed matrices with zero-row and zero-column cases, all-zero and
-    duplicate rows, and widths across the 8- and 64-bit packing boundaries."""
-    p = draw(st.sampled_from((2, 2, 3, 5, 7)))
+    duplicate rows, widths across the 8- and 64-bit packing boundaries, and
+    primes that draw every packed field width."""
+    p = draw(st.sampled_from(ECHELON_PRIMES))
     rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 130))
-    mat = draw(arrays(np.int64, (rows, cols), elements=st.integers(-9, 9)))
+    mat = draw(arrays(np.int64, (rows, cols), elements=st.integers(-9, 9) | st.integers(-2 * p, 2 * p)))
     for i in range(rows):
         kind = draw(st.sampled_from(("keep", "keep", "zero", "duplicate")))
         if kind == "zero":
@@ -333,17 +339,40 @@ class TestEchelonAgainstReference:
             assert got.dtype == np.int64 and got.flags.c_contiguous
         assert ech.shape == want_ech.shape and ech.tobytes() == want_ech.tobytes()
         assert pivots == want_pivots
-        if p != 2:
-            assert t.tobytes() == want_t.tobytes()
-            return
-        # the transform is not unique over GF(2): check what defines one
+        # the transform is not unique when rows are dependent: check what defines one
         assert t.shape == (rows, rows)
-        assert np.array_equal((t @ mat) % 2, ech)
-        assert reference_rank(t, 2) == rows
+        assert np.array_equal((t @ mat) % p, ech)
+        assert reference_rank(t, p) == rows
         r = len(pivots)
         kernel = rows - r
-        assert reference_rank(t[r:], 2) == kernel
-        assert reference_rank(np.vstack((t[r:], want_t[r:])), 2) == kernel
+        assert reference_rank(t[r:], p) == kernel
+        assert reference_rank(np.vstack((t[r:], want_t[r:])), p) == kernel
+
+
+class TestModulusChecked:
+    """A modulus the decompositions cannot use raises ``ValueError``."""
+
+    @pytest.mark.parametrize("p", [4, 6, 9, 1, 0, -3])
+    def test_echelon_needs_a_prime(self, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="prime"):
+                row_echelon_mod_p(np.eye(2, dtype=np.int64), p)
+
+    @pytest.mark.parametrize("n", [1, 0, -4])
+    @pytest.mark.parametrize("decompose", [smith_normal_form, row_group])
+    def test_smith_needs_n_at_least_2(self, decompose, n):
+        with pytest.raises(ValueError, match="n >= 2"):
+            decompose(np.eye(2, dtype=np.int64), n)
+
+    @pytest.mark.parametrize(
+        "n, path",
+        [(2, "GF(2) bitset"), (3, "GF(3) packed"), (65537, "GF(65537) packed"),
+         (4, "CRT Smith form: Z_4 sweep"), (6, "CRT Smith form: GF(2) bitset + GF(3) packed"),
+         (12, "CRT Smith form: Z_4 sweep + GF(3) packed")],
+    )
+    def test_elimination_path(self, n, path):
+        assert elimination_path(n) == path
 
 
 COMPOSITE = (4, 6, 8, 9, 12)

@@ -130,6 +130,44 @@ class TestConstruction:
         assert got.x.tobytes() == want.x.tobytes() and got.z.tobytes() == want.z.tobytes()
         bare_model(n, nsites, [(s, target)])
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_commuting_check_against_dense_form(self, data):
+        """``check_commuting`` raises exactly when the dense form ``X Z^T -
+        Z X^T (mod n)`` has a nonzero entry, and names its least pair i < j.
+        Tables are CSS or not, of sparse strings where one that clashes with
+        an earlier string is kept half the time, and may get a planted clash:
+        X and Z on one site, at random positions."""
+        n = data.draw(st.sampled_from((2, 3, 4, 6)))
+        nsites = data.draw(st.integers(1, 6))
+        css = data.draw(st.booleans())
+        digits = st.lists(st.sampled_from((0, 0, 0) + tuple(range(1, n))), min_size=nsites, max_size=nsites)
+        rows = []
+        for _ in range(data.draw(st.integers(1, 8))):
+            x, z = np.array(data.draw(digits)), np.array(data.draw(digits))
+            if css:
+                (x if data.draw(st.booleans()) else z)[:] = 0
+            if data.draw(st.booleans()) or all((x @ zk - z @ xk) % n == 0 for xk, zk in rows):
+                rows.append((x, z))
+        if data.draw(st.booleans()):
+            site = data.draw(st.integers(0, nsites - 1))
+            for part in (0, 1):
+                planted = [np.zeros(nsites, dtype=np.int64) for _ in range(2)]
+                planted[part][site] = 1
+                rows.insert(data.draw(st.integers(0, len(rows))), tuple(planted))
+        x, z = (np.array([r[k] for r in rows], dtype=np.int64) for k in (0, 1))
+        # phases that give each string order dividing n
+        gens = [(PauliString(n, xi, zi, (n - 1) * int(xi @ zi) % 2), 0) for xi, zi in zip(x, z)]
+        sm = bare_model(n, nsites, gens)
+        assert sm.table.css == (css or not any(xi.any() and zi.any() for xi, zi in zip(x, z)))
+        form = np.triu((x @ z.T - z @ x.T) % n, k=1)
+        if not form.any():
+            sm.check_commuting()
+            return
+        i, j = np.argwhere(form)[0]
+        with pytest.raises(InvalidModelError, match=f"^generators {i} and {j} do not commute$"):
+            sm.check_commuting()
+
     def test_exponent_matrix_shape(self):
         sm = model_for("m1")
         mat = sm.exponent_matrix()
@@ -761,8 +799,10 @@ class TestConfinement:
 class TestLogging:
     @pytest.mark.parametrize(
         "model, path, x_order, z_order",
-        [("m1", "GF(2) bitset", 2**4, 2**7), ("zn:3", "prime field", 3**4, 3**7),
-         ("zn:6", "CRT Smith form", 6**4, 6**7)],
+        [("m1", "GF(2) bitset", 2**4, 2**7), ("zn:3", "GF(3) packed", 3**4, 3**7),
+         ("zn:5", "GF(5) packed", 5**4, 5**7), ("zn:4", "CRT Smith form: Z_4 sweep", 4**4, 4**7),
+         ("zn:6", "CRT Smith form: GF(2) bitset + GF(3) packed", 6**4, 6**7)],
+        ids=["m1", "zn:3", "zn:5", "zn:4", "zn:6"],
     )
     def test_count_reports_blocks_and_stages(self, caplog, model, path, x_order, z_order):
         caplog.set_level(logging.DEBUG, logger="gtoric.stabilizer")
