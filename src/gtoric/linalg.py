@@ -1,5 +1,6 @@
 """Exact linear algebra over Z_n in int64: elimination over Z_{p^k} and
-the Smith form over Z_n, with transform tracking.
+the Smith form over Z_n, with transform tracking, and the group order alone
+without it.
 
 ``row_group`` describes the subgroup of Z_n^cols generated by a matrix's
 rows with one decomposition, chosen once by the modulus.  For prime n one
@@ -8,6 +9,12 @@ the rows from the transform's last rows, and membership by reducing a vector
 against the echelon rows.  For composite n one ``smith_normal_form`` over Z_n
 gives the order and the relations from the diagonal and the left transform,
 and membership from one product with the right transform.
+
+``row_order`` answers what a count needs, the group's invariant factors and
+whether a column lies in the span of the matrix's columns, from one
+elimination of ``[mat | column]`` per prime-power part with no transform:
+no identity bits, no T, no Smith u or v.  The kernels are the same; each
+runs its forward pass alone when given the column.
 
 Every prime field eliminates on rows of ``[mat | I]`` packed into Python
 ints, the packed tableau of Aaronson and Gottesman (2004): for p = 2 one bit
@@ -21,17 +28,18 @@ Dehaene and De Moor, 2005).  A prime part runs the same packed kernel as
 arrays on pivots of least p-adic valuation (``_echelon_local``).  The parts'
 transforms are joined with the CRT idempotents.  No entry or product-sum
 leaves int64 within the ``StabilizerModel`` bound ``4 L n^2 < 2^63``.
-``elimination_path`` names the kernels a modulus uses.  The two public
-functions keep their names and stay module globals, called through the
-module, because ``perfbench``'s tracer wraps them by name to count and time
-each decomposition.
+``elimination_path`` names the kernels a modulus uses.
+``row_echelon_mod_p`` and ``smith_normal_form`` keep their names and stay
+module globals, called through the module, because ``perfbench``'s tracer
+wraps them by name to count and time each decomposition; ``row_order`` is
+not among the names it wraps.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 from typing import Callable
 
 import numpy as np
@@ -104,11 +112,13 @@ def elimination_path(n):
     return parts[0] if is_prime(n) else "CRT Smith form: " + " + ".join(parts)
 
 
-def _echelon_local(mat, p, k):
+def _echelon_local(mat, p, k, column=None):
     """Echelon form of mat over the local ring Z_q, q = p^k: returns
     ``(ech, pivots, levels, t)`` with ``t @ mat == ech (mod q)``, t invertible
     mod q, and row i of ech divisible by ``p^levels[i]`` with ``p^levels[i]``
-    in column ``pivots[i]``.
+    in column ``pivots[i]``.  Given a column, it eliminates ``[mat | column]``
+    with no transform and returns only ``(pivots, levels)``; the appended
+    column, index ``cols``, is swept last at every level.
 
     Sweep v = 0 .. k-1 takes its pivots, column by column, from the entries
     of valuation exactly v in the rows not yet pivoted, all of which p^v
@@ -122,7 +132,13 @@ def _echelon_local(mat, p, k):
     """
     q = p**k
     rows, cols = mat.shape
-    w = np.concatenate((mat % q, np.eye(rows, dtype=np.int64)), axis=1)
+    if column is None:
+        w = np.concatenate((mat % q, np.eye(rows, dtype=np.int64)), axis=1)
+    else:
+        w = np.empty((rows, cols + 1), dtype=np.int64)
+        np.remainder(mat, q, out=w[:, :cols])
+        np.remainder(column, q, out=w[:, cols])
+        cols += 1
     pivots, levels = [], []
     r = 0
     for v in range(k):
@@ -146,10 +162,12 @@ def _echelon_local(mat, p, k):
             pivots.append(c)
             levels.append(v)
             r += 1
+    if column is not None:
+        return pivots, levels
     return np.ascontiguousarray(w[:, :cols]), pivots, levels, np.ascontiguousarray(w[:, cols:])
 
 
-def _echelon_gf2(mat):
+def _echelon_gf2(mat, column=None):
     """``row_echelon_mod_p`` for p = 2 on rows packed into Python ints.
 
     Row i of ``[mat | I]`` becomes one int: column c of mat is bit
@@ -162,17 +180,29 @@ def _echelon_gf2(mat):
     column outside its own row, giving the unique reduced echelon form.  The
     transform is lower unitriangular in row order before back-substitution,
     so T stays invertible.
+
+    Given a column, the rows are those of ``[mat | column]``, packed with no
+    transform part, and only the pivot columns of the forward pass are
+    returned, sorted: they are those of the reduced form, and ``cols`` among
+    them is a pivot on the appended column.
     """
     rows, cols = mat.shape
-    mb, tb = -(-cols // 8), -(-rows // 8)  # packed bytes of the mat and transform parts
-    tw = 8 * tb
+    width = cols if column is None else cols + 1
+    mb = -(-width // 8)  # packed bytes of the mat part
+    tw = 8 * -(-rows // 8) if column is None else 0  # bits of the transform part
     top = tw + 8 * mb
     stored = {}  # pivot column -> row
     relations = []
     # the first byte of a little-endian int64 holds its parity
-    packed = np.packbits(mat.view(np.uint8)[:, ::8] & 1, axis=1).tobytes()
+    bits = np.empty((rows, width), dtype=np.uint8)
+    np.bitwise_and(mat.view(np.uint8)[:, ::8], 1, out=bits[:, :cols])
+    if column is not None:
+        bits[:, cols] = column & 1
+    packed = np.packbits(bits, axis=1).tobytes()
     for i in range(rows):
-        x = int.from_bytes(packed[i * mb : (i + 1) * mb], "big") << tw | 1 << (tw - 1 - i)
+        x = int.from_bytes(packed[i * mb : (i + 1) * mb], "big")
+        if tw:
+            x = x << tw | 1 << (tw - 1 - i)
         while x.bit_length() > tw:
             c = top - x.bit_length()
             s = stored.get(c)
@@ -182,6 +212,8 @@ def _echelon_gf2(mat):
             x ^= s
         else:
             relations.append(x)
+    if column is not None:
+        return sorted(stored)
     pivots = sorted(stored)
     pivot_bits = sum(1 << (top - 1 - c) for c in pivots)
     for c in reversed(pivots):
@@ -193,14 +225,14 @@ def _echelon_gf2(mat):
             other ^= 1 << (k - 1)
         stored[c] = x
     ordered = [stored[c] for c in pivots] + relations
-    bits = np.unpackbits(np.frombuffer(b"".join(x.to_bytes(mb + tb, "big") for x in ordered), dtype=np.uint8))
+    bits = np.unpackbits(np.frombuffer(b"".join(x.to_bytes(top // 8, "big") for x in ordered), dtype=np.uint8))
     bits = bits.reshape(rows, top)
     ech = np.ascontiguousarray(bits[:, :cols], dtype=np.int64)
     t = np.ascontiguousarray(bits[:, 8 * mb : 8 * mb + rows], dtype=np.int64)
     return ech, pivots, t
 
 
-def _echelon_packed(mat, p):
+def _echelon_packed(mat, p, column=None):
     """``row_echelon_mod_p`` for an odd prime p on rows packed into Python
     ints.
 
@@ -220,12 +252,15 @@ def _echelon_packed(mat, p):
     clears the set fields of each row's pivot columns, highest first, which
     gives the unique reduced echelon form.  Before back-substitution the
     transform is lower triangular in row order with a nonzero diagonal, so
-    T stays invertible.
+    T stays invertible.  Given a column, the kernel runs as ``_echelon_gf2``
+    does: the forward pass on ``[mat | column]``, with no transform part.
     """
     rows, cols = mat.shape
     size = next(b for b in (1, 2, 4, 8) if 2 * p <= 1 << (8 * b - 1))
-    w, fields = 8 * size, cols + rows
-    tw, top = w * rows, w * fields  # bits of the transform part, and of a row
+    width = cols if column is None else cols + 1
+    transform = rows if column is None else 0  # fields of the transform part
+    w, fields = 8 * size, width + transform
+    tw, top = w * transform, w * fields  # bits of the transform part, and of a row
     high = int.from_bytes((1 << (w - 1)).to_bytes(size, "big") * fields, "big")
     lift = int.from_bytes(((1 << (w - 1)) - p).to_bytes(size, "big") * fields, "big")
 
@@ -252,10 +287,16 @@ def _echelon_packed(mat, p):
 
     stored, multiples = {}, {}  # pivot column -> row, and -> {f: f row}
     relations = []
-    packed = (mat % p).astype(f">u{size}").tobytes()
-    width = cols * size
+    entries = np.empty((rows, width), dtype=f">u{size}")
+    entries[:, :cols] = mat % p
+    if column is not None:
+        entries[:, cols] = column % p
+    packed = entries.tobytes()
+    row_bytes = width * size
     for i in range(rows):
-        x = int.from_bytes(packed[i * width : (i + 1) * width], "big") << tw | 1 << (w * (rows - 1 - i))
+        x = int.from_bytes(packed[i * row_bytes : (i + 1) * row_bytes], "big")
+        if tw:
+            x = x << tw | 1 << (w * (rows - 1 - i))
         while (length := x.bit_length()) > tw:
             c = (top - length) // w
             v = x >> (top - w * (c + 1))  # the leading field: every field above it is zero
@@ -265,6 +306,8 @@ def _echelon_packed(mat, p):
             x = add(x, multiple(c, p - v))
         else:
             relations.append(x)
+    if column is not None:
+        return sorted(stored)
     pivots = sorted(stored)
     mask = np.zeros(fields, dtype=f">u{size}")
     mask[pivots] = (1 << w) - 1
@@ -435,3 +478,52 @@ def row_group(mat, n):
         return not np.any((np.asarray(vec, dtype=np.int64) % n @ v_kept) % g_kept)
 
     return RowGroup(n, tuple(n // int(gi) for gi in g if gi != n), relations, contains)
+
+
+def invariant_factors(orders, n):
+    """The invariant factors, largest first as ``row_group`` gives them, of
+    the direct sum of cyclic groups of the given orders, each dividing n:
+    per prime p of n the orders' p-parts, sorted, are multiplied index by
+    index.  The orders themselves are those factors when n is a prime power;
+    for other n they need not be (Z_2 + Z_3 is Z_6)."""
+    if len(_prime_powers(n)) == 1:
+        return tuple(sorted((f for f in orders if f > 1), reverse=True))
+    # the p-part of an order f, which divides n, is gcd(f, p^k)
+    parts = [sorted((gcd(f, p**k) for f in orders), reverse=True) for p, k in _prime_powers(n)]
+    return tuple(f for f in map(prod, zip(*parts)) if f > 1)
+
+
+def row_order(mat, n, column):
+    """The invariant factors of the group the rows of mat generate over Z_n,
+    as ``row_group`` gives them, and whether column lies in the Z_n-span of
+    mat's columns, that is, whether ``r @ column == 0 (mod n)`` for every
+    relation r (``r @ mat == 0``): ``(factors, column_in_span)``.
+
+    Each part Z_q, q = p^k exactly dividing n, eliminates ``[mat | column]``
+    once, with no transform: the packed kernel of the prime for k = 1, whose
+    pivots left of the appended column give the rank, and ``_echelon_local``
+    for k >= 2, which sweeps the appended column last at every level, so
+    that a pivot of level v on mat's columns is a factor p^(k - v).  The
+    column is in the span exactly when no pivot of any part lands on it.
+    When one does in a part with k >= 2, the pivots left of it need not give
+    that part's factors, and the part is eliminated once more with a zero
+    column.  An n below 2 raises ``ValueError``.
+    """
+    if n < 2:
+        raise ValueError(f"Z_n needs a modulus n >= 2, got {n}")
+    mat = np.ascontiguousarray(mat, dtype="<i8")
+    column = np.asarray(column, dtype=np.int64)
+    cols = mat.shape[1]
+    orders, in_span = [], True
+    for p, k in _prime_powers(n):
+        if k == 1:
+            pivots = _echelon_gf2(mat, column) if p == 2 else _echelon_packed(mat, p, column)
+            levels = [0] * len(pivots)
+        else:
+            pivots, levels = _echelon_local(mat, p, k, column)
+        if cols in pivots:
+            in_span = False
+            if k > 1:
+                pivots, levels = _echelon_local(mat, p, k, np.zeros_like(column))
+        orders += [p ** (k - v) for c, v in zip(pivots, levels) if c != cols]
+    return invariant_factors(orders, n), in_span

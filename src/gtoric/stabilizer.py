@@ -8,19 +8,31 @@ operations, and a model built from a list of strings stacks their rows
 once.  Every catalog model is CSS, each generator pure X or pure Z, and the
 analysis then works on two blocks, the X rows on the x columns and the Z
 rows on the z columns: the generated group is the direct product of theirs,
-and its relations are theirs.  Any other table is one block.  One analysis
-per model, shared with target-flipped copies, checks ``X Z^T - Z X^T == 0
-(mod n)`` by joining the table's x and z entries on site, with no matrix
-built, and decomposes each block once (``linalg.row_group``: echelon form
-for prime n, on rows packed into Python ints, and otherwise the Smith form
-over Z_n, one elimination per prime-power part joined by the CRT) into its
-group order, the relations among its generators and a membership test.  The
-ground space has dimension ``n^sites / |group|`` when every relation
-multiplies out to the phase the targets demand (in a pure block, the linear
-``sum r_i (p_i - 2 t_i) = 0 (mod 2n)``), and zero (a frustrated model)
-otherwise.  Each count logs its blocks, the kernel that eliminated them
-(``linalg.elimination_path``) and the seconds of each stage as one DEBUG
-record on the ``gtoric.stabilizer`` logger, silent by default.
+and its relations are theirs.  Any other table is one block.  Each model
+checks ``X Z^T - Z X^T == 0 (mod n)`` once, by joining the table's x and z
+entries on site, with no matrix built.  The ground space has dimension
+``n^sites / |group|`` when every relation among the generators multiplies
+out to the phase the targets demand, and zero (a frustrated model)
+otherwise.  In a pure block that demand is linear, ``sum r_i c_i = 0 (mod
+2n)`` with c_i = p_i - 2 t_i, so it holds exactly when c/2 lies in the span
+of the block's columns, i.e. when appending c/2 leaves the block's order
+unchanged.  A count therefore needs each block's order and that verdict
+only, and a CSS model reads both from one transform-free elimination of
+``[block | c/2]`` (``linalg.row_order``), forming no relation.  The
+relations are built when something asks for them: membership
+(``is_logical``, ``logically_equivalent``, ``in_stabilizer_group``),
+``analysis()``, a table that is not CSS, whose phase is quadratic, and
+``with_flipped_target``.  Then each block is decomposed once
+(``linalg.row_group``: echelon form for prime n, on rows packed into Python
+ints, and otherwise the Smith form over Z_n, one elimination per
+prime-power part joined by the CRT) into its group order, the relations
+among its generators and a membership test, shared with target-flipped
+copies, and from then on each consistency verdict is one product with the
+relations.  The route is chosen by whether the relations exist.  Each count
+logs its blocks, the kernel that eliminated them
+(``linalg.elimination_path``), the route of each block's consistency
+verdict and the seconds of each stage as one DEBUG record on the
+``gtoric.stabilizer`` logger, silent by default.
 Syndromes, classification and the logical basis read one sparse ``[X|Z]``
 table, written from the table's nonzero entries on first use; an error's
 eigenvalue shifts are one product ``(Z x_e - X z_e) mod n``.  All of it is
@@ -66,23 +78,41 @@ class InvalidPathError(ValueError):
 
 @dataclass(frozen=True)
 class Block:
-    """One CSS block of a model's table: the generators ``gens``, on the
-    columns ``cols`` of ``[x|z]``, decomposed once into ``group``.  ``xz``
-    is the CSR matrix of the ``x_i.z_j`` (mod n) within a block that is not
-    pure, and None in a pure block, where every one is zero."""
+    """One CSS block of a model's table: the generators ``gens`` and their
+    exponents ``mat`` on the columns ``cols`` of ``[x|z]``, a view of the
+    table's rows in a CSS table."""
 
     label: str  # X, Z, or XZ for a model that is not CSS
     gens: np.ndarray
     cols: slice
-    shape: tuple  # of the decomposed matrix
-    group: linalg.RowGroup
-    xz: object = None
+    mat: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Blocks:
+    blocks: tuple
+    seconds: dict  # stage -> seconds: table, check
 
 
 @dataclass(frozen=True)
 class _Split:
-    blocks: tuple
-    seconds: dict  # stage -> seconds: table, check, eliminations
+    """The relation route: each block decomposed once.  ``xz[i]`` is the CSR
+    matrix of the ``x_i.z_j`` (mod n) within block i when it is not pure,
+    and None in a pure block, where every one is zero."""
+
+    groups: tuple  # of linalg.RowGroup, one per block
+    xz: tuple
+    seconds: float
+
+
+@dataclass(frozen=True)
+class _Orders:
+    """The span route: per block its invariant factors and whether the
+    targets are consistent on it."""
+
+    factors: tuple
+    consistent: tuple
+    seconds: float
 
 
 @dataclass
@@ -195,43 +225,79 @@ class StabilizerModel:
             raise InvalidModelError(f"generators {i} and {j} do not commute")
 
     @cached_property
-    def _split(self):
-        """The model's blocks, each decomposed once after the commutation
-        check, with the seconds each stage took.  A CSS table gives the X
-        rows on the x columns and the Z rows on the z columns, and the
-        generated group is their direct product; any other table is one
-        block.  The targets do not enter."""
+    def _blocks(self):
+        """The model's blocks after the commutation check, with the seconds
+        each stage took.  A CSS table gives the X rows on the x columns and
+        the Z rows on the z columns, and the generated group is their direct
+        product; any other table is one block."""
         start = time.perf_counter()
         t = self.table
-        (x_gens, x), (z_gens, z) = t.sparse
         if t.css:
             # a block without rows stays: its group is {0} on its columns
-            parts = [
-                ("X", x_gens, slice(0, self.nsites), (x,), t.x[:-1]),
-                ("Z", z_gens, slice(self.nsites, None), (z,), t.z[:-1]),
-            ]
+            x_gens, z_gens = (np.flatnonzero(row >= 0) for row in (t.x_row, t.z_row))
+            blocks = (
+                Block("X", x_gens, slice(0, self.nsites), t.x[:-1]),
+                Block("Z", z_gens, slice(self.nsites, None), t.z[:-1]),
+            )
         else:
-            xz = self.exponent_table
-            x, z = xz[:, : self.nsites], xz[:, self.nsites :]
-            parts = [("XZ", np.arange(len(t)), slice(None), (x, z), xz.toarray())]
+            blocks = (Block("XZ", np.arange(len(t)), slice(None), self.exponent_table.toarray()),)
         tabled = time.perf_counter()
         self.check_commuting()
-        checked = time.perf_counter()
-        blocks = []
-        for label, gens, cols, sparse, mat in parts:
-            group = linalg.row_group(mat, self.n)
-            _check_relations(group.relations, sparse, self.n)
+        seconds = {"table": tabled - start, "check": time.perf_counter() - tabled}
+        return _Blocks(blocks, seconds)
+
+    @cached_property
+    def _split(self):
+        """The relation route: each block decomposed once by
+        ``linalg.row_group`` into its group order, the relations among its
+        generators, which are checked against the block's sparse rows, and a
+        membership test.  The targets do not enter, so target-flipped copies
+        share it."""
+        blocks = self._blocks.blocks
+        start = time.perf_counter()
+        if self.table.css:
+            sparse = [(rows,) for _, rows in self.table.sparse]
+        else:
+            xz = self.exponent_table
+            sparse = [(xz[:, : self.nsites], xz[:, self.nsites :])]
+        groups, products = [], []
+        for b, parts in zip(blocks, sparse):
+            group = linalg.row_group(b.mat, self.n)
+            _check_relations(group.relations, parts, self.n)
             xz = None
-            if len(sparse) == 2:
-                xz = (sparse[0] @ sparse[1].T).tocsr()
+            if len(parts) == 2:
+                xz = (parts[0] @ parts[1].T).tocsr()
                 xz.data %= self.n
-            blocks.append(Block(label, gens, cols, mat.shape, group, xz))
-        seconds = {
-            "table": tabled - start,
-            "check": checked - tabled,
-            "eliminations": time.perf_counter() - checked,
-        }
-        return _Split(tuple(blocks), seconds)
+            groups.append(group)
+            products.append(xz)
+        return _Split(tuple(groups), tuple(products), time.perf_counter() - start)
+
+    @cached_property
+    def _orders(self):
+        """The span route, for a CSS table: per block one transform-free
+        elimination of ``[block | c/2]`` (``linalg.row_order``), c_i = p_i -
+        2 t_i, which is even for a pure generator of order dividing n.  It
+        gives the block's invariant factors, and the targets are consistent
+        on the block exactly when c/2 lies in its columns' span, i.e. when
+        every relation r has ``r.c = 0 (mod 2n)``.  It holds this model's
+        targets, so ``with_flipped_target`` drops it from its copy."""
+        blocks = self._blocks.blocks
+        start = time.perf_counter()
+        half = _phase_column(self) // 2
+        found = [linalg.row_order(b.mat, self.n, half[b.gens]) for b in blocks]
+        factors, consistent = zip(*found)
+        return _Orders(factors, consistent, time.perf_counter() - start)
+
+    def _route(self):
+        """``relations`` once the blocks' relations exist, and for a table
+        that is not CSS, whose phase is quadratic; ``span`` otherwise."""
+        return "relations" if "_split" in self.__dict__ or not self.table.css else "span"
+
+    def _block_factors(self):
+        """Each block's invariant factors, read by the model's route."""
+        if self._route() == "span":
+            return self._orders.factors
+        return tuple(g.factors for g in self._split.groups)
 
     def analysis(self):
         """The generated group as one ``linalg.RowGroup``, assembled from the
@@ -239,44 +305,45 @@ class StabilizerModel:
         placed at their generators' indices, and membership tested block by
         block."""
         if self._analysis is None:
-            blocks = self._split.blocks
-            count = sum(len(b.group.relations) for b in blocks)
+            blocks, groups = self._blocks.blocks, self._split.groups
+            count = sum(len(g.relations) for g in groups)
             relations = np.zeros((count, len(self.generators)), dtype=np.int64)
             row = 0
-            for b in blocks:
-                k = len(b.group.relations)
-                relations[row : row + k, b.gens] = b.group.relations
+            for b, g in zip(blocks, groups):
+                k = len(g.relations)
+                relations[row : row + k, b.gens] = g.relations
                 row += k
             self._analysis = linalg.RowGroup(
-                self.n, _invariant_factors(blocks, self.n), relations, functools.partial(_contains, blocks)
+                self.n, _invariant_factors(self._block_factors(), self.n), relations,
+                functools.partial(_contains, self),
             )
         return self._analysis
 
     def with_flipped_target(self, index, delta=1):
-        self._split  # analyzed once, shared with the copy
+        self._split  # relations built once, shared with the copy
         flipped = copy.copy(self)  # shares the analysis and every table built so far
+        flipped.__dict__.pop("_orders", None)  # it holds this model's targets
         flipped.generators = list(self.generators)
         s, t = self.generators[index]
         flipped.generators[index] = (s, (t + delta) % self.n)
         return flipped
 
 
-def _invariant_factors(blocks, n):
+def _phase_column(m):
+    """c_i = p_i - 2 t_i per generator: the phase each relation's product must cancel."""
+    return m.table.phase - 2 * np.array([t for _, t in m.generators], dtype=np.int64)
+
+
+def _invariant_factors(block_factors, n):
     """The invariant factors of the direct sum of the blocks' groups, largest
-    first as ``linalg.row_group`` gives them: per prime p of n the blocks'
-    p-parts, sorted, are multiplied index by index.  Concatenating the
-    blocks' factors is the same for a prime power n; for other n it is not
-    (Z_2 + Z_3 is Z_6)."""
-    factors = [f for b in blocks for f in b.group.factors]
-    # the p-part of a factor f, which divides n, is gcd(f, p^k)
-    parts = [sorted((math.gcd(f, p**k) for f in factors), reverse=True) for p, k in linalg._prime_powers(n)]
-    return tuple(f for f in map(math.prod, zip(*parts)) if f > 1)
+    first as ``linalg.row_group`` gives them."""
+    return linalg.invariant_factors([f for factors in block_factors for f in factors], n)
 
 
-def _contains(blocks, vec):
+def _contains(m, vec):
     """Whether ``[x|z]`` vec lies in the group: its columns of each block in
     that block's group."""
-    return all(b.group.contains(vec[b.cols]) for b in blocks)
+    return all(g.contains(vec[b.cols]) for b, g in zip(m._blocks.blocks, m._split.groups))
 
 
 def _check_relations(relations, parts, n):
@@ -293,20 +360,29 @@ def phase_consistent(m):
     """Whether every relation among generators is compatible with the targets:
     for ``s_i = w^{p_i} X^{x_i} Z^{z_i}``, ``prod_i s_i^{r_i}`` has phase
     ``sum r_i p_i + sum r_i (r_i - 1) x_i.z_i + 2 sum_{i<j} r_i r_j x_j.z_i``
-    (mod 2n), and the targets demand ``2 sum r_i t_i``.  The doubled terms
-    matter mod n only, so they are reduced mod n before every product.  The
-    relations of a CSS model are those of its blocks, and in a pure block
-    every ``x_j.z_i`` is zero, so only ``sum r_i (p_i - 2 t_i)`` remains:
-    one product per block, which a flipped copy repeats on the blocks'
-    shared relations."""
+    (mod 2n), and the targets demand ``2 sum r_i t_i``.  The relations of a
+    CSS model are those of its blocks, and in a pure block every ``x_j.z_i``
+    is zero, so only ``sum r_i c_i = 0 (mod 2n)`` remains, c_i = p_i - 2 t_i.
+
+    The verdict takes one of two routes, chosen by whether the blocks'
+    relations exist.  Without them, a CSS model reads each block's verdict
+    from its one transform-free elimination of ``[block | c/2]`` (the span
+    route, ``StabilizerModel._orders``), and no relation is formed.  Once
+    they exist (membership, ``analysis()`` and ``with_flipped_target`` build
+    them), and always for a table that is not CSS, whose phase is
+    quadratic, each block's verdict is one product with its shared
+    relations; the doubled terms matter mod n only, so they are reduced mod
+    n before every product."""
+    if m._route() == "span":
+        return all(m._orders.consistent)
     n = m.n
-    c = m.table.phase - 2 * np.array([t for _, t in m.generators], dtype=np.int64)
-    for b in m._split.blocks:
-        rel = b.group.relations  # reduced mod n by row_group
+    c = _phase_column(m)
+    for b, group, xz in zip(m._blocks.blocks, m._split.groups, m._split.xz):
+        rel = group.relations  # reduced mod n by row_group
         phase = rel @ c[b.gens]
-        if b.xz is not None:
-            cross = ((sp.tril(b.xz, k=-1) @ rel.T).T % n * rel).sum(axis=1)  # sum_{i<j} r_i r_j x_j.z_i
-            doubled = ((rel * (rel - 1) // 2) % n @ b.xz.diagonal() + cross) % n
+        if xz is not None:
+            cross = ((sp.tril(xz, k=-1) @ rel.T).T % n * rel).sum(axis=1)  # sum_{i<j} r_i r_j x_j.z_i
+            doubled = ((rel * (rel - 1) // 2) % n @ xz.diagonal() + cross) % n
             phase = phase + 2 * doubled
         if (phase % (2 * n)).any():
             return False
@@ -314,38 +390,49 @@ def phase_consistent(m):
 
 
 def gsd(m):
-    """Ground-space dimension as an exact integer (0 when frustrated).  Logs
-    one DEBUG record on ``gtoric.stabilizer``: each block's shape,
-    elimination kernel, group order and relation count, and the seconds of
-    the table, check, elimination and consistency stages."""
-    split = m._split
-    order = math.prod(b.group.order for b in split.blocks)
+    """Ground-space dimension as an exact integer: ``n^sites / |group|``, or
+    0 when the targets are frustrated.  The group order is the product of
+    the blocks' invariant factors, read by the route ``phase_consistent``
+    takes: one transform-free elimination per block when the relations do
+    not exist, and the shared decomposition when they do.  Logs one DEBUG
+    record on ``gtoric.stabilizer``: each block's shape, elimination kernel,
+    group order, consistency route and relation count (None where the route
+    does not know it), and the seconds of the table, check, elimination and
+    consistency stages."""
+    factors = m._block_factors()
     began = time.perf_counter()
     consistent = phase_consistent(m)
-    seconds = dict(split.seconds, consistency=time.perf_counter() - began)
-    _log_count(m, split.blocks, seconds)
+    _log_count(m, factors, time.perf_counter() - began)
     if not consistent:
         return 0
     total = m.n**m.nsites
+    order = math.prod(math.prod(f) for f in factors)
     if total % order:
         raise AssertionError("group order does not divide the space dimension")
     return total // order
 
 
-def _log_count(m, blocks, seconds):
+def _log_count(m, factors, consistency):
     if not log.isEnabledFor(logging.DEBUG):
         return
     path = linalg.elimination_path(m.n)  # every block eliminates over Z_n
-    stats = [
-        {"block": b.label, "shape": b.shape, "path": path, "order": b.group.order,
-         "relations": len(b.group.relations)}
-        for b in blocks
-    ]
+    route = m._route()
+    eliminations = m._orders.seconds if route == "span" else m._split.seconds
+    seconds = dict(m._blocks.seconds, eliminations=eliminations, consistency=consistency)
+    stats = []
+    for i, b in enumerate(m._blocks.blocks):
+        if route == "relations":
+            relations = len(m._split.groups[i].relations)
+        else:  # rows - rank over a prime field; unknown without the transform otherwise
+            relations = len(b.gens) - len(factors[i]) if linalg.is_prime(m.n) else None
+        stats.append({"block": b.label, "shape": b.mat.shape, "path": path, "order": math.prod(factors[i]),
+                      "route": route, "relations": relations})
     log.debug(
         "gsd: %s; seconds: %s",
         "; ".join(
             f"{s['block']} {s['shape'][0]}x{s['shape'][1]} by {s['path']}: order "
-            f"{m.n}^{math.log(s['order'], m.n):.6g}, {s['relations']} relations"
+            f"{m.n}^{math.log(s['order'], m.n):.6g}, consistency by {s['route']}"
+            + ("" if s["relations"] is None else f", {s['relations']} relations")
             for s in stats
         ),
         ", ".join(f"{stage} {value:.3g}" for stage, value in seconds.items()),
@@ -431,7 +518,7 @@ def syndrome(m, error):
 
 def in_stabilizer_group(m, p):
     """Exponent-level membership of p in the generated group."""
-    return _contains(m._split.blocks, *_exponents(m, p))
+    return _contains(m, *_exponents(m, p))
 
 
 def is_logical(m, p):
@@ -445,7 +532,7 @@ def is_logical(m, p):
 def logically_equivalent(m, p, q):
     """Whether two undetectable strings differ by a stabilizer element."""
     diff = np.subtract(*_exponents(m, p, q)) % m.n  # p q^-1 up to phase
-    return not _form(m.exponent_table, diff, m.n).any() and _contains(m._split.blocks, diff)
+    return not _form(m.exponent_table, diff, m.n).any() and _contains(m, diff)
 
 
 # -- string and loop operators -------------------------------------------------
@@ -520,7 +607,7 @@ def report(m):
     """Summary dict used by the command-line interface.  A group free over
     Z_n of rank r leaves ``generators - r`` independent relations; for any
     other group the rank and the relation count are None."""
-    factors = _invariant_factors(m._split.blocks, m.n)
+    factors = _invariant_factors(m._block_factors(), m.n)
     rank = len(factors) if all(f == m.n for f in factors) else None
     g = gsd(m)
     return {

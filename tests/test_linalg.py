@@ -5,11 +5,18 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gtoric.linalg import RowGroup, elimination_path, row_echelon_mod_p, row_group, smith_normal_form
+from gtoric.linalg import (
+    RowGroup,
+    elimination_path,
+    row_echelon_mod_p,
+    row_group,
+    row_order,
+    smith_normal_form,
+)
 
 
 def reference_smith(mat):
@@ -439,3 +446,46 @@ class TestSmithOverZn:
             assert group.contains(vec) and want.contains(vec)
         for vec in rng.integers(0, n, (20, cols)):
             assert group.contains(vec) == want.contains(vec)
+
+
+@st.composite
+def order_inputs(draw):
+    """A matrix over Z_n whose entries take every p-adic valuation (a unit
+    or zero times a divisor of n), with empty shapes, and a column that is a
+    combination of its columns, such a combination plus a scaled unit
+    vector, or arbitrary."""
+    n = draw(st.sampled_from(MODULI))
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    entry = st.builds(lambda u, d: u * d, st.integers(-n, n), st.sampled_from(divisors))
+    mat = draw(arrays(np.int64, (rows, cols), elements=entry))
+    combo = draw(arrays(np.int64, cols, elements=st.integers(0, n - 1)))
+    spanned = mat @ combo if cols else np.zeros(rows, dtype=np.int64)
+    kind = draw(st.sampled_from(("spanned", "shifted", "arbitrary")))
+    if kind == "arbitrary":
+        return n, mat, draw(arrays(np.int64, rows, elements=entry))
+    if kind == "shifted" and rows:
+        spanned[draw(st.integers(0, rows - 1))] += draw(st.sampled_from(divisors))
+    return n, mat, spanned
+
+
+class TestRowOrder:
+    """``row_order`` against the integer Smith form: the factors of the row
+    group, and whether every relation annihilates the column."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(order_inputs())
+    @example((4, np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64)))
+    @example((6, np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.int64)))
+    @example((9, np.zeros((3, 0), dtype=np.int64), np.array([0, 3, 0])))
+    @example((2, np.zeros((2, 0), dtype=np.int64), np.array([0, 0])))
+    def test_against_reference(self, data):
+        n, mat, column = data
+        want = reference_row_group(mat, n)
+        factors, in_span = row_order(mat, n, column)
+        assert factors == want.factors
+        assert in_span == (not (want.relations @ column % n).any())
+
+    def test_needs_n_at_least_2(self):
+        with pytest.raises(ValueError, match="n >= 2"):
+            row_order(np.eye(2, dtype=np.int64), 1, np.zeros(2, dtype=np.int64))

@@ -1,6 +1,7 @@
 """Stabilizer engine: degeneracy, consistency, logicals, syndromes, strings."""
 
 import logging
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -543,15 +544,26 @@ def css_models(draw, n):
     return bare_model(n, nsites, list(zip(strings, targets)))
 
 
-def assert_matches_joint(sm):
-    group, want_gsd = reference_joint(sm)
-    got = sm.analysis()
-    assert got.order == group.order
-    assert sorted(got.factors) == sorted(group.factors)
-    assert got.rank == group.rank
+def assert_counts_match(sm, group, want_gsd):
     rep = report(sm)
     assert rep["group_order"] == group.order and rep["rank"] == group.rank
     assert rep["relations"] == (None if group.rank is None else len(group.relations))
+    assert gsd(sm) == want_gsd == rep["gsd"]
+
+
+def assert_matches_joint(sm):
+    """gsd and report against the joint reference twice: on a fresh model,
+    where a CSS table counts from one transform-free elimination per block
+    and forms no relation, and again after ``analysis()`` has built them."""
+    group, want_gsd = reference_joint(sm)
+    assert sm._route() == ("span" if sm.table.css else "relations")
+    assert_counts_match(sm, group, want_gsd)
+    got = sm.analysis()
+    assert sm._route() == "relations"
+    assert_counts_match(sm, group, want_gsd)
+    assert got.order == group.order
+    assert sorted(got.factors) == sorted(group.factors)
+    assert got.rank == group.rank
     # the placed block relations generate every relation among the generators;
     # they are as many as the joint ones unless n has two primes, whose
     # parts of two blocks can merge into one Z_n summand (Z_2 + Z_3 is Z_6)
@@ -561,19 +573,18 @@ def assert_matches_joint(sm):
     mat = sm.exponent_matrix()
     assert not (got.relations @ mat % sm.n).any()
     assert row_group(got.relations, sm.n).order * got.order == sm.n ** len(sm.generators)
-    assert gsd(sm) == want_gsd == rep["gsd"]
 
 
 class TestBlocksAgainstJoint:
     """Per-block analysis against one joint elimination of the whole table."""
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 6, 9])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 9, 12])
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_random_css_models(self, n, data):
         sm = data.draw(css_models(n))
         assert sm.table.css
-        assert [b.label for b in sm._split.blocks] == ["X", "Z"]
+        assert [b.label for b in sm._blocks.blocks] == ["X", "Z"]
         assert_matches_joint(sm)
         # membership of group elements and of random strings, against the joint group
         group = reference_joint(sm)[0]
@@ -584,7 +595,24 @@ class TestBlocksAgainstJoint:
         for index in range(len(sm.generators)):
             flipped = sm.with_flipped_target(index, data.draw(st.integers(1, n - 1)))
             assert flipped._split is sm._split
-            assert gsd(flipped) == reference_joint(flipped)[1]
+            want = reference_joint(flipped)[1]
+            assert gsd(flipped) == want
+            # the same targets on a fresh model take the span route
+            fresh = replace(sm, generators=flipped.generators)
+            assert fresh._route() == "span"
+            assert gsd(fresh) == want
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 9, 12])
+    def test_frustrated_catalog_model(self, n):
+        """zn:N with one face target moved: frustrated, on both routes."""
+        sm = model_for(f"zn:{n}")
+        targets = list(sm.generators)
+        s, t = targets[-1]
+        targets[-1] = (s, (t + 1) % n)
+        frustrated = replace(sm, generators=targets)
+        assert reference_joint(frustrated)[1] == 0
+        assert_matches_joint(frustrated)
+        assert_matches_joint(model_for(f"zn:{n}"))
 
     @pytest.mark.parametrize("targets", [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
     def test_mixed_model_is_one_block(self, targets):
@@ -596,7 +624,7 @@ class TestBlocksAgainstJoint:
         xzxz = PauliString(2, [1, 1], [1, 1])
         sm = bare_model(2, 2, list(zip((xx, zz, xzxz), targets)))
         assert not sm.table.css
-        assert [b.label for b in sm._split.blocks] == ["XZ"]
+        assert [b.label for b in sm._blocks.blocks] == ["XZ"]
         assert_matches_joint(sm)
         assert gsd(sm) in (0, 1)
 
@@ -806,17 +834,28 @@ class TestLogging:
     )
     def test_count_reports_blocks_and_stages(self, caplog, model, path, x_order, z_order):
         caplog.set_level(logging.DEBUG, logger="gtoric.stabilizer")
-        report(model_for(model))
-        [rec] = [r for r in caplog.records if r.name == "gtoric.stabilizer"]
-        assert rec.levelno == logging.DEBUG
-        # torus:2x2: four vertex X rows, and four vertex and four face Z rows, on 16 sites
-        assert rec.blocks == [
-            {"block": "X", "shape": (4, 16), "path": path, "order": x_order, "relations": 0},
-            {"block": "Z", "shape": (8, 16), "path": path, "order": z_order, "relations": 1},
-        ]
-        assert set(rec.seconds) == {"table", "check", "eliminations", "consistency"}
-        assert all(v >= 0 for v in rec.seconds.values())
-        assert f"Z 8x16 by {path}: order" in rec.getMessage()
+        sm = model_for(model)
+        report(sm)
+        sm.analysis()
+        report(sm)
+        span, relations = [r for r in caplog.records if r.name == "gtoric.stabilizer"]
+        # torus:2x2: four vertex X rows, and four vertex and four face Z rows,
+        # on 16 sites; without the transform a relation count is known only
+        # over a prime field, as rows - rank
+        prime = "Smith" not in path
+        for rec, route, counts in ((span, "span", (0, 1) if prime else (None, None)),
+                                   (relations, "relations", (0, 1))):
+            assert rec.levelno == logging.DEBUG
+            assert rec.blocks == [
+                {"block": "X", "shape": (4, 16), "path": path, "order": x_order, "route": route,
+                 "relations": counts[0]},
+                {"block": "Z", "shape": (8, 16), "path": path, "order": z_order, "route": route,
+                 "relations": counts[1]},
+            ]
+            assert set(rec.seconds) == {"table", "check", "eliminations", "consistency"}
+            assert all(v >= 0 for v in rec.seconds.values())
+            assert f"Z 8x16 by {path}: order" in rec.getMessage()
+            assert f"consistency by {route}" in rec.getMessage()
 
     def test_silent_by_default(self, capfd):
         report(model_for("zn:6"))

@@ -32,8 +32,9 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert [owner.__dict__.get(attr) for owner, attr, *_ in spans.TARGETS] == originals
-    # one analysis per model: one commutation check and one elimination per
-    # CSS block (X and Z), shared by the flipped copy and read by is_logical
+    # one commutation check per model.  report counts from linalg.row_order,
+    # which the tracer does not wrap; is_logical then decomposes each CSS
+    # block (X and Z) once, and the flipped copy shares those relations
     assert tracer.calls["stabilizer.check_commuting"] == 1
     assert tracer.calls["linalg.row_echelon_mod_p"] == 2
     assert tracer.calls["linalg.smith_normal_form"] == 0
@@ -74,11 +75,15 @@ def test_one_smith_form_per_composite_analysis():
     try:
         tracer.install()
         stabilizer.report(sm)
+        smith_for_report = tracer.calls["linalg.smith_normal_form"]
+        stabilizer.is_logical(sm, sm.generators[0][0])
     finally:
         tracer.uninstall()
-    # one Smith form per CSS block; the Z_2 and Z_3 parts run inside each,
-    # not as traced echelon calls
+    # report reads orders only, from linalg.row_order, which the tracer does
+    # not wrap; membership then takes one Smith form per CSS block, the Z_2
+    # and Z_3 parts running inside each, not as traced echelon calls
+    assert smith_for_report == 0
     assert tracer.calls["linalg.smith_normal_form"] == 2
     assert tracer.calls["linalg.row_echelon_mod_p"] == 0
     metrics = spans.layer_metrics(tracer, [[1.0]], 1.0, 1.0)
-    assert metrics["linalg.eliminations_per_answer"] == 2.0
+    assert metrics["linalg.eliminations_per_answer"] == 1.0
