@@ -1,6 +1,6 @@
-"""Exact linear algebra over Z_n in int64: elimination over Z_{p^k} and
-the Smith form over Z_n, with transform tracking, and the group order alone
-without it.
+"""Exact linear algebra over Z_n: elimination over Z_{p^k} on rows packed
+into Python ints, and the Smith form over Z_n with transform tracking, and
+the group order alone without it.
 
 ``row_group`` describes the subgroup of Z_n^cols generated by a matrix's
 rows with one decomposition, chosen once by the modulus.  For prime n one
@@ -13,26 +13,26 @@ and membership from one product with the right transform.
 ``row_order`` answers what a count needs, the group's invariant factors and
 whether a column lies in the span of the matrix's columns, from one
 elimination of ``[mat | column]`` per prime-power part with no transform:
-no identity bits, no T, no Smith u or v.  The kernels are the same; each
+no identity fields, no T, no Smith u or v.  The kernels are the same; each
 runs its forward pass alone when given the column.
 
-Every prime field eliminates on rows of ``[mat | I]`` packed into Python
-ints, the packed tableau of Aaronson and Gottesman (2004): for p = 2 one bit
-per entry, reduced by XOR (``_echelon_gf2``); for odd p one byte-aligned
-field per entry, added mod p field by field with one carry test on each
-field's high bit (``_echelon_packed``).  Both return the unique reduced
-echelon form, so one contract serves every prime.  The Smith form splits
-Z_n by the Chinese remainder theorem into its Z_{p^k} parts (Hostens,
-Dehaene and De Moor, 2005).  A prime part runs the same packed kernel as
-``row_echelon_mod_p``; a part Z_{p^k} with k >= 2 is eliminated in int64
-arrays on pivots of least p-adic valuation (``_echelon_local``).  The parts'
-transforms are joined with the CRT idempotents.  No entry or product-sum
-leaves int64 within the ``StabilizerModel`` bound ``4 L n^2 < 2^63``.
-``elimination_path`` names the kernels a modulus uses.
-``row_echelon_mod_p`` and ``smith_normal_form`` keep their names and stay
-module globals, called through the module, because ``perfbench``'s tracer
-wraps them by name to count and time each decomposition; ``row_order`` is
-not among the names it wraps.
+Every part Z_q, q = p^k, eliminates on rows of ``[mat | I]`` packed into
+Python ints, the packed tableau of Aaronson and Gottesman (2004): for q = 2
+one bit per entry, reduced by XOR (``_echelon_gf2``); for every other q one
+byte-aligned field per entry, added mod q field by field with one carry
+test on each field's high bit (``_echelon_packed``).  Over Z_{p^k}, k >= 2,
+the packed kernel pivots level by level on entries of least p-adic
+valuation, a unit times p^v, as Hostens, Dehaene and De Moor (2005) do for
+Z_n; over a prime field that is one level, and both kernels return the
+unique reduced echelon form.  The Smith form splits Z_n by the Chinese
+remainder theorem into its Z_{p^k} parts, finishes each part's echelon form
+with column operations, and joins the parts' transforms with the CRT
+idempotents.  No entry or product-sum leaves int64 within the
+``StabilizerModel`` bound ``4 L n^2 < 2^63``.  ``elimination_path`` names
+the kernels a modulus uses.  ``row_echelon_mod_p`` and ``smith_normal_form``
+keep their names and stay module globals, called through the module,
+because ``perfbench``'s tracer wraps them by name to count and time each
+decomposition; ``row_order`` is not among the names it wraps.
 """
 
 from __future__ import annotations
@@ -90,85 +90,40 @@ def row_echelon_mod_p(mat, p):
     """
     if not is_prime(p):
         raise ValueError(f"row_echelon_mod_p needs a prime modulus, got {p}")
-    return _echelon_prime(np.asarray(mat, dtype=np.int64), p)
+    ech, pivots, _, t = _echelon(np.asarray(mat, dtype=np.int64), p, 1)
+    return ech, pivots, t
 
 
-def _echelon_prime(mat, p):
-    """The packed kernel of the prime p on an int64 matrix."""
-    if p == 2:
-        return _echelon_gf2(np.ascontiguousarray(mat, dtype="<i8"))
-    return _echelon_packed(mat, p)
+def _echelon(mat, p, k, column=None):
+    """The packed kernel of Z_q, q = p^k: ``_echelon_gf2`` for q = 2 and
+    ``_echelon_packed`` otherwise, with one contract.  Returns ``(ech,
+    pivots, levels, t)`` with ``t @ mat == ech (mod q)``, t invertible mod
+    q, and row i of ech divisible by ``p^levels[i]`` with ``p^levels[i]`` in
+    column ``pivots[i]``; levels rise down the rows, all zero over a prime
+    field.  Given a column, the forward pass alone eliminates ``[mat |
+    column]`` with no transform and returns ``(pivots, levels)``; the
+    appended column, index ``cols``, is the last at every level."""
+    if p**k == 2:
+        return _echelon_gf2(mat, column)
+    return _echelon_packed(mat, p, k, column)
 
 
-def elimination_path(n):
-    """The kernel that eliminates over Z_n, for a modulus n >= 2:
-    ``GF(2) bitset`` or ``GF(p) packed`` for a prime, and for composite n
-    the Smith form's CRT parts, e.g. ``CRT Smith form: Z_4 sweep + GF(3)
-    packed``."""
-    parts = [
-        "GF(2) bitset" if p**k == 2 else f"GF({p}) packed" if k == 1 else f"Z_{p**k} sweep"
+def elimination_path(n, relations):
+    """The kernels that eliminate over Z_n, for a modulus n >= 2: per
+    prime-power part q = p^k of n, ``GF(2) bitset`` for q = 2, ``GF(p)
+    packed`` for another prime and ``Z_q packed`` for k >= 2, joined by
+    `` + ``, as ``row_order`` runs them.  With relations, as ``row_group``
+    forms them, a composite n is one Smith form over its parts, e.g. ``CRT
+    Smith form: Z_4 packed + GF(3) packed``."""
+    parts = " + ".join(
+        "GF(2) bitset" if p**k == 2 else f"GF({p}) packed" if k == 1 else f"Z_{p**k} packed"
         for p, k in _prime_powers(n)
-    ]
-    return parts[0] if is_prime(n) else "CRT Smith form: " + " + ".join(parts)
-
-
-def _echelon_local(mat, p, k, column=None):
-    """Echelon form of mat over the local ring Z_q, q = p^k: returns
-    ``(ech, pivots, levels, t)`` with ``t @ mat == ech (mod q)``, t invertible
-    mod q, and row i of ech divisible by ``p^levels[i]`` with ``p^levels[i]``
-    in column ``pivots[i]``.  Given a column, it eliminates ``[mat | column]``
-    with no transform and returns only ``(pivots, levels)``; the appended
-    column, index ``cols``, is swept last at every level.
-
-    Sweep v = 0 .. k-1 takes its pivots, column by column, from the entries
-    of valuation exactly v in the rows not yet pivoted, all of which p^v
-    divides.  A pivot row is swapped up and scaled by its unit's inverse, and
-    every other row loses the multiple of it that leaves its entry in the
-    pivot column reduced mod p^v: zero below the pivot and in the pivot rows
-    of the same level.  Each pivot updates the block of ``[mat | T]`` under
-    its row's nonzero columns in one array expression; no int64 entry
-    exceeds q^2 on the way.  Only the parts with k >= 2 run it; a prime
-    field runs a packed kernel.
-    """
-    q = p**k
-    rows, cols = mat.shape
-    if column is None:
-        w = np.concatenate((mat % q, np.eye(rows, dtype=np.int64)), axis=1)
-    else:
-        w = np.empty((rows, cols + 1), dtype=np.int64)
-        np.remainder(mat, q, out=w[:, :cols])
-        np.remainder(column, q, out=w[:, cols])
-        cols += 1
-    pivots, levels = [], []
-    r = 0
-    for v in range(k):
-        unit, step = p**v, p ** (v + 1)
-        for c in range(cols):
-            if r >= rows:
-                break
-            nz = np.flatnonzero(w[r:, c] % step)
-            if len(nz) == 0:
-                continue
-            pr = r + nz[0]
-            if pr != r:
-                w[[r, pr]] = w[[pr, r]]
-            w[r] = (w[r] * _inv_mod(w[r, c] // unit, q)) % q
-            f = w[:, c] // unit
-            f[r] = 0
-            others = np.flatnonzero(f)
-            # only the pivot row's nonzero columns change; the catalog's rows are sparse
-            block = np.ix_(others, np.flatnonzero(w[r]))
-            w[block] = (w[block] - np.outer(f[others], w[r][block[1]])) % q
-            pivots.append(c)
-            levels.append(v)
-            r += 1
-    if column is not None:
-        return pivots, levels
-    return np.ascontiguousarray(w[:, :cols]), pivots, levels, np.ascontiguousarray(w[:, cols:])
+    )
+    return "CRT Smith form: " + parts if relations and not is_prime(n) else parts
 
 
 def _echelon_gf2(mat, column=None):
-    """``row_echelon_mod_p`` for p = 2 on rows packed into Python ints.
+    """``_echelon`` for q = 2 on rows packed into Python ints.
 
     Row i of ``[mat | I]`` becomes one int: column c of mat is bit
     ``top - 1 - c`` and transform column j is bit ``tw - 1 - j``, both parts
@@ -183,9 +138,10 @@ def _echelon_gf2(mat, column=None):
 
     Given a column, the rows are those of ``[mat | column]``, packed with no
     transform part, and only the pivot columns of the forward pass are
-    returned, sorted: they are those of the reduced form, and ``cols`` among
-    them is a pivot on the appended column.
+    returned, sorted, with their levels: the pivots are those of the reduced
+    form, and ``cols`` among them is a pivot on the appended column.
     """
+    mat = np.ascontiguousarray(mat, dtype="<i8")
     rows, cols = mat.shape
     width = cols if column is None else cols + 1
     mb = -(-width // 8)  # packed bytes of the mat part
@@ -212,9 +168,9 @@ def _echelon_gf2(mat, column=None):
             x ^= s
         else:
             relations.append(x)
-    if column is not None:
-        return sorted(stored)
     pivots = sorted(stored)
+    if column is not None:
+        return pivots, [0] * len(pivots)
     pivot_bits = sum(1 << (top - 1 - c) for c in pivots)
     for c in reversed(pivots):
         x = stored[c]
@@ -229,46 +185,60 @@ def _echelon_gf2(mat, column=None):
     bits = bits.reshape(rows, top)
     ech = np.ascontiguousarray(bits[:, :cols], dtype=np.int64)
     t = np.ascontiguousarray(bits[:, 8 * mb : 8 * mb + rows], dtype=np.int64)
-    return ech, pivots, t
+    return ech, pivots, [0] * len(pivots), t
 
 
-def _echelon_packed(mat, p, column=None):
-    """``row_echelon_mod_p`` for an odd prime p on rows packed into Python
-    ints.
+def _echelon_packed(mat, p, k, column=None):
+    """``_echelon`` for q = p^k other than 2 on rows packed into Python ints,
+    on pivots of least p-adic valuation (Hostens, Dehaene and De Moor, 2005).
 
     Row i of ``[mat | I]`` becomes one int of byte-aligned fields of w = 8B
-    bits, B the least of 1, 2, 4 and 8 with ``2p <= 2^(w-1)``: column c of
+    bits, B the least of 1, 2, 4 and 8 with ``2q <= 2^(w-1)``: column c of
     mat is field c from the top and transform column j field j of the
-    ``rows`` lowest, so a row's leading column is read off its
-    ``bit_length``.  Two rows add mod p field by field: their sum s has
-    every field below 2p, no carry crosses a field, and adding ``2^(w-1) -
-    p`` to every field sets a field's high bit exactly where ``s >= p``,
-    which marks the fields to subtract p from.  Each row in turn has the
-    stored row of its leading column added, times the multiple that clears
-    that column, until it leads with a new pivot (and is scaled to a
-    leading 1 and stored) or its mat part is zero (and its transform part
-    is a relation).  Multiples of a stored row are formed by doubling on
-    first use and kept.  Back-substitution in decreasing pivot order then
-    clears the set fields of each row's pivot columns, highest first, which
-    gives the unique reduced echelon form.  Before back-substitution the
-    transform is lower triangular in row order with a nonzero diagonal, so
-    T stays invertible.  Given a column, the kernel runs as ``_echelon_gf2``
-    does: the forward pass on ``[mat | column]``, with no transform part.
+    ``rows`` lowest.  Two rows add mod q field by field: their sum s has
+    every field below 2q, no carry crosses a field, and adding ``2^(w-1) -
+    q`` to every field sets a field's high bit exactly where ``s >= q``,
+    which marks the fields to subtract q from.  Multiples of a stored row
+    are formed by doubling on first use and kept.
+
+    Level v = 0 .. k-1 eliminates the rows left by the levels before it, all
+    of whose mat fields p^v divides.  Its forward pass takes each row in
+    turn and reads its leading field of valuation exactly v: for p = 2 the
+    leading set bit of the row masked to bit v of every field, at the last
+    level (and so over a prime field) its leading nonzero field, and
+    otherwise by scanning its nonzero fields.  A row whose leading such
+    field is a pivot has the multiple of that pivot's row added that clears
+    the field; the fields before it change by multiples of p^(v+1) only, so
+    the leading field moves right.  Otherwise the row is scaled to p^v there
+    and stored as a new pivot.  A row with no field of valuation v is
+    divisible by p^(v+1); its mat part may still be nonzero on the pivot
+    columns, and ``clear`` adds pivot rows until it is not, each addition
+    raising the valuation of the fields it leaves behind.  It then moves to
+    the next level, or is a relation once its mat part is zero.  With the
+    transform, each pivot row is first cleared on the level's other pivot
+    columns and scaled back to p^v, in decreasing pivot order, so that it is
+    zero on every pivot column of the rows above it: on the earlier levels'
+    by construction and on its own level's by this back-substitution.  Over
+    a prime field that is the unique reduced echelon form.  Every step adds
+    a multiple of another row or scales a row by a unit, so T stays
+    invertible.  Given a column, the forward passes run on ``[mat |
+    column]``, with no transform part.
     """
+    q = p**k
     rows, cols = mat.shape
-    size = next(b for b in (1, 2, 4, 8) if 2 * p <= 1 << (8 * b - 1))
+    size = next(b for b in (1, 2, 4, 8) if 2 * q <= 1 << (8 * b - 1))
     width = cols if column is None else cols + 1
     transform = rows if column is None else 0  # fields of the transform part
     w, fields = 8 * size, width + transform
     tw, top = w * transform, w * fields  # bits of the transform part, and of a row
-    high = int.from_bytes((1 << (w - 1)).to_bytes(size, "big") * fields, "big")
-    lift = int.from_bytes(((1 << (w - 1)) - p).to_bytes(size, "big") * fields, "big")
+    ones = int.from_bytes((1).to_bytes(size, "big") * fields, "big")  # 1 in every field
+    high, lift, full = ones << (w - 1), ones * ((1 << (w - 1)) - q), (1 << w) - 1
 
     def add(a, b):
         s = a + b
-        return s - (((s + lift) & high) >> (w - 1)) * p
+        return s - (((s + lift) & high) >> (w - 1)) * q
 
-    def scale(x, f):  # f x for 0 < f < p, by doubling
+    def scale(x, f):  # f x for 0 < f < q, by doubling
         out = None
         while True:
             if f & 1:
@@ -285,50 +255,88 @@ def _echelon_packed(mat, p, column=None):
             x = kept[f] = scale(stored[c], f)
         return x
 
-    stored, multiples = {}, {}  # pivot column -> row, and -> {f: f row}
-    relations = []
+    def scan(x):
+        """The column of x's leading mat field of valuation v, or None, for
+        odd p below the last level."""
+        rest = x >> tw << tw
+        while rest:
+            c = (top - rest.bit_length()) // w
+            shift = top - w * (c + 1)
+            f = rest >> shift
+            if f % step:
+                return c
+            rest ^= f << shift
+        return None
+
+    def clear(x, columns):
+        """x plus the multiples of pivot rows that zero it on the given
+        pivot columns, leftmost first."""
+        while other := x & columns:
+            c = (top - other.bit_length()) // w
+            x = add(x, multiple(c, -((other >> (top - w * (c + 1))) // unit) % span))
+        return x
+
     entries = np.empty((rows, width), dtype=f">u{size}")
-    entries[:, :cols] = mat % p
+    entries[:, :cols] = mat % q
     if column is not None:
-        entries[:, cols] = column % p
+        entries[:, cols] = column % q
     packed = entries.tobytes()
     row_bytes = width * size
+    pending = []
     for i in range(rows):
         x = int.from_bytes(packed[i * row_bytes : (i + 1) * row_bytes], "big")
+        pending.append(x << tw | 1 << (w * (rows - 1 - i)) if tw else x)
+    pivots, levels, ordered, relations = [], [], [], []
+    for v in range(k):
+        unit, step, span, last = p**v, p ** (v + 1), p ** (k - v), v == k - 1
+        # at the last level every nonzero field has valuation v; for p = 2 a
+        # field p^v divides has valuation v where its bit v is set
+        marks = ones >> tw << (tw + v) if p == 2 and not last else None
+        scanned = p != 2 and not last
+        stored, multiples = {}, {}  # pivot column -> row, and -> {f: f row}
+        rest, pending = pending, []
+        for x in rest:
+            while True:
+                if scanned:
+                    c = scan(x)
+                else:
+                    length = (x if marks is None else x & marks).bit_length()
+                    c = (top - length) // w if length > tw else None
+                if c is None:
+                    (pending if x >> tw else relations).append(x)
+                    break
+                u = (x >> (top - w * (c + 1)) & full) // unit
+                if c not in stored:
+                    stored[c], multiples[c] = scale(x, pow(u, -1, q)), {}
+                    break
+                x = add(x, multiple(c, -u % span))
+        found = sorted(stored)
+        if tw or pending:
+            mask = np.zeros(fields, dtype=f">u{size}")
+            mask[found] = full
+            pivot_fields = int.from_bytes(mask.tobytes(), "big")
         if tw:
-            x = x << tw | 1 << (w * (rows - 1 - i))
-        while (length := x.bit_length()) > tw:
-            c = (top - length) // w
-            v = x >> (top - w * (c + 1))  # the leading field: every field above it is zero
-            if c not in stored:
-                stored[c], multiples[c] = scale(x, _inv_mod(v, p)), {}
-                break
-            x = add(x, multiple(c, p - v))
-        else:
-            relations.append(x)
+            for c in reversed(found):
+                x = stored[c]
+                shift = top - w * (c + 1)
+                others = pivot_fields ^ full << shift
+                if not x & others:
+                    continue  # the row is reduced already, and its kept multiples stay valid
+                x = clear(x, others)
+                stored[c], multiples[c] = scale(x, pow((x >> shift & full) // unit, -1, q)), {}
+        rest, pending = pending, []
+        for x in rest:
+            x = clear(x, pivot_fields)
+            (pending if x >> tw else relations).append(x)
+        pivots += found
+        levels += [v] * len(found)
+        ordered += [stored[c] for c in found]
     if column is not None:
-        return sorted(stored)
-    pivots = sorted(stored)
-    mask = np.zeros(fields, dtype=f">u{size}")
-    mask[pivots] = (1 << w) - 1
-    pivot_fields = int.from_bytes(mask.tobytes(), "big")
-    for c in reversed(pivots):
-        x = stored[c]
-        other = x & pivot_fields ^ 1 << (top - w * (c + 1))
-        if not other:
-            continue  # the row is reduced already, and its kept multiples stay valid
-        while other:
-            d = (top - other.bit_length()) // w
-            shift = top - w * (d + 1)
-            v = other >> shift
-            other ^= v << shift
-            x = add(x, multiple(d, p - v))
-        stored[c], multiples[c] = x, {}
-    ordered = [stored[c] for c in pivots] + relations
-    out = np.frombuffer(b"".join(x.to_bytes(top // 8, "big") for x in ordered), dtype=f">u{size}")
+        return pivots, levels
+    out = np.frombuffer(b"".join(x.to_bytes(top // 8, "big") for x in ordered + relations), dtype=f">u{size}")
     out = out.reshape(rows, fields)
     ech, t = (np.ascontiguousarray(part, dtype=np.int64) for part in (out[:, :cols], out[:, cols:]))
-    return ech, pivots, t
+    return ech, pivots, levels, t
 
 
 # -- Smith form over Z_n ------------------------------------------------------
@@ -341,14 +349,14 @@ def smith_normal_form(mat, n):
     u and v are int64 arrays with entries in [0, n), invertible mod n; d has
     ``min(rows, cols)`` entries, each a divisor of n (n itself for a zero),
     with d[i] dividing d[i + 1].  Each part Z_q, q = p^k exactly dividing n,
-    is one elimination of ``mat mod q``: the packed kernel of the prime for
-    k = 1 (``_echelon_gf2`` or ``_echelon_packed``), otherwise
-    ``_echelon_local``, whose pivot of level v contributes p^v to its d[i];
-    levels rise down the rows, so the divisibility chain holds in every
-    part.  The parts' transforms, their rows scaled by units mod q so that
-    each part gives the same d, are joined with the CRT idempotents e_q
-    (1 mod q, 0 mod n / q): ``u = sum e_q u_q`` and ``v = sum e_q v_q``.
-    An n below 2 raises ``ValueError``.
+    is one elimination of ``mat mod q`` by its packed kernel (``_echelon``),
+    whose pivot of level v contributes p^v to its d[i]; levels rise down the
+    rows, so the divisibility chain holds in every part, and
+    ``_column_transform`` finishes the part's echelon form.  The parts'
+    transforms, their rows scaled by units mod q so that each part gives the
+    same d, are joined with the CRT idempotents e_q (1 mod q, 0 mod n / q):
+    ``u = sum e_q u_q`` and ``v = sum e_q v_q``; a prime power n is its own
+    part.  An n below 2 raises ``ValueError``.
     """
     if n < 2:
         raise ValueError(f"Z_n needs a modulus n >= 2, got {n}")
@@ -357,14 +365,13 @@ def smith_normal_form(mat, n):
     size = min(rows, cols)
     parts = []
     for p, k in _prime_powers(n):
-        if k == 1:
-            ech, pivots, t = _echelon_prime(mat, p)
-            levels = [0] * len(pivots)
-        else:
-            ech, pivots, levels, t = _echelon_local(mat, p, k)
+        ech, pivots, levels, t = _echelon(mat, p, k)
         v = _column_transform(ech, pivots, levels, p, p**k)
         parts.append((p, k, levels + [k] * (size - len(pivots)), t, v))
     d = [prod(p**level[i] for p, _, level, _, _ in parts) for i in range(size)]
+    if len(parts) == 1:  # n = q: the part's transforms are u and v, already reduced mod n
+        _, _, _, u, v = parts[0]
+        return d, u, v
     for p, k, level, u_q, v_q in parts:
         q = p**k
         e = n // q * pow(n // q, -1, q)
@@ -397,24 +404,29 @@ def _column_transform(ech, pivots, levels, p, q):
     columns moved first.  Only the pivot-column block C of the b_i couples
     them: ``(I + N)^{-1} = I - S^T (I + C)^{-1} B`` for B the rows b_i, S the
     pivot selection, and ``(I + C) X = B`` is solved by back-substitution
-    over the rows of C that are not zero (none over a prime field).
+    over the rows of C that are not zero.  Every row vanishes on the pivot
+    columns of the levels before its own and on its own level's but its
+    own, so C is zero on the first level's pivot columns, and zero over a
+    prime field.  X is formed in place of B, its columns already in v's
+    order, so C is B's block on the first r columns; row i of C is read
+    before row i of B is replaced.
     """
     cols = ech.shape[1]
-    pivots = np.array(pivots, dtype=np.intp)
-    b = ech[: len(pivots)] // p ** np.array(levels, dtype=np.int64)[:, None]
-    b[np.arange(len(pivots)), pivots] = 0
-    c = b[:, pivots]
-    for i in np.flatnonzero(c.any(axis=1))[::-1]:
-        b[i] = (b[i] - c[i] @ b) % q
-    # v is I - S^T X, X = (I + C)^{-1} B, with the pivot columns moved first
     r = len(pivots)
     free = np.setdiff1d(np.arange(cols), pivots)
-    x = b[:, np.concatenate((pivots, free))]
+    # X, v's pivot rows, with the pivot columns moved first: v is I - S^T X
+    x = np.take(ech[:r], np.concatenate((pivots, free)).astype(np.intp), axis=1)
+    if r and levels[-1]:
+        x //= p ** np.array(levels, dtype=np.int64)[:, None]
+    x[np.arange(r), np.arange(r)] = 0
+    low = levels.count(levels[0]) if r else 0  # C's columns before these are zero
+    for i in np.flatnonzero(x[:, low:r].any(axis=1))[::-1]:
+        x[i] = (x[i] - x[i, low:r] @ x[low:]) % q
     np.negative(x, out=x)
     x[np.arange(r), np.arange(r)] += 1
     x %= q
     v = np.zeros((cols, cols), dtype=np.int64)
-    v[pivots] = x
+    v[np.array(pivots, dtype=np.intp)] = x
     v[free, np.arange(r, cols)] = 1
     return v
 
@@ -472,7 +484,7 @@ def row_group(mat, n):
     kept = g_rows != 1
     relations = (n // g_rows[kept])[:, None] * u[kept] % n
     # columns with g = 1 test nothing: every residue is divisible by 1
-    v_kept, g_kept = v[:, g_cols != 1], g_cols[g_cols != 1]
+    v_kept, g_kept = np.take(v, np.flatnonzero(g_cols != 1), axis=1), g_cols[g_cols != 1]
 
     def contains(vec):
         return not np.any((np.asarray(vec, dtype=np.int64) % n @ v_kept) % g_kept)
@@ -500,13 +512,13 @@ def row_order(mat, n, column):
     relation r (``r @ mat == 0``): ``(factors, column_in_span)``.
 
     Each part Z_q, q = p^k exactly dividing n, eliminates ``[mat | column]``
-    once, with no transform: the packed kernel of the prime for k = 1, whose
-    pivots left of the appended column give the rank, and ``_echelon_local``
-    for k >= 2, which sweeps the appended column last at every level, so
-    that a pivot of level v on mat's columns is a factor p^(k - v).  The
-    column is in the span exactly when no pivot of any part lands on it.
-    When one does in a part with k >= 2, the pivots left of it need not give
-    that part's factors, and the part is eliminated once more with a zero
+    once by its packed kernel with no transform: level by level, the
+    appended column last at every level, so that a pivot of level v on
+    mat's columns is a factor p^(k - v).  The column is in the span exactly
+    when no pivot of any part lands on it.  When one does in a part with k
+    >= 2, the pivots left of it need not give that part's factors (the
+    column's pivot may have taken a row that a higher level of mat's
+    columns needed), and the part is eliminated once more with a zero
     column.  An n below 2 raises ``ValueError``.
     """
     if n < 2:
@@ -516,14 +528,10 @@ def row_order(mat, n, column):
     cols = mat.shape[1]
     orders, in_span = [], True
     for p, k in _prime_powers(n):
-        if k == 1:
-            pivots = _echelon_gf2(mat, column) if p == 2 else _echelon_packed(mat, p, column)
-            levels = [0] * len(pivots)
-        else:
-            pivots, levels = _echelon_local(mat, p, k, column)
+        pivots, levels = _echelon(mat, p, k, column)
         if cols in pivots:
             in_span = False
             if k > 1:
-                pivots, levels = _echelon_local(mat, p, k, np.zeros_like(column))
+                pivots, levels = _echelon(mat, p, k, np.zeros_like(column))
         orders += [p ** (k - v) for c, v in zip(pivots, levels) if c != cols]
     return invariant_factors(orders, n), in_span

@@ -396,9 +396,8 @@ def gsd(m):
     takes: one transform-free elimination per block when the relations do
     not exist, and the shared decomposition when they do.  Logs one DEBUG
     record on ``gtoric.stabilizer``: each block's shape, elimination kernel,
-    group order, consistency route and relation count (None where the route
-    does not know it), and the seconds of the table, check, elimination and
-    consistency stages."""
+    group order, consistency route and relation count, and the seconds of
+    the table, check, elimination and consistency stages."""
     factors = m._block_factors()
     began = time.perf_counter()
     consistent = phase_consistent(m)
@@ -415,24 +414,19 @@ def gsd(m):
 def _log_count(m, factors, consistency):
     if not log.isEnabledFor(logging.DEBUG):
         return
-    path = linalg.elimination_path(m.n)  # every block eliminates over Z_n
     route = m._route()
+    path = linalg.elimination_path(m.n, relations=route == "relations")  # every block eliminates over Z_n
     eliminations = m._orders.seconds if route == "span" else m._split.seconds
     seconds = dict(m._blocks.seconds, eliminations=eliminations, consistency=consistency)
-    stats = []
-    for i, b in enumerate(m._blocks.blocks):
-        if route == "relations":
-            relations = len(m._split.groups[i].relations)
-        else:  # rows - rank over a prime field; unknown without the transform otherwise
-            relations = len(b.gens) - len(factors[i]) if linalg.is_prime(m.n) else None
-        stats.append({"block": b.label, "shape": b.mat.shape, "path": path, "order": math.prod(factors[i]),
-                      "route": route, "relations": relations})
+    # both routes relate every row but those whose factor is n itself: rows
+    # minus the least number of level-0 pivots over n's prime-power parts
+    stats = [{"block": b.label, "shape": b.mat.shape, "path": path, "order": math.prod(f), "route": route,
+              "relations": len(b.gens) - f.count(m.n)} for b, f in zip(m._blocks.blocks, factors)]
     log.debug(
         "gsd: %s; seconds: %s",
         "; ".join(
             f"{s['block']} {s['shape'][0]}x{s['shape'][1]} by {s['path']}: order "
-            f"{m.n}^{math.log(s['order'], m.n):.6g}, consistency by {s['route']}"
-            + ("" if s["relations"] is None else f", {s['relations']} relations")
+            f"{m.n}^{math.log(s['order'], m.n):.6g}, consistency by {s['route']}, {s['relations']} relations"
             for s in stats
         ),
         ", ".join(f"{stage} {value:.3g}" for stage, value in seconds.items()),

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from gtoric.linalg import (
     RowGroup,
+    _echelon,
     elimination_path,
     row_echelon_mod_p,
     row_group,
@@ -375,11 +376,20 @@ class TestModulusChecked:
     @pytest.mark.parametrize(
         "n, path",
         [(2, "GF(2) bitset"), (3, "GF(3) packed"), (65537, "GF(65537) packed"),
-         (4, "CRT Smith form: Z_4 sweep"), (6, "CRT Smith form: GF(2) bitset + GF(3) packed"),
-         (12, "CRT Smith form: Z_4 sweep + GF(3) packed")],
+         (4, "CRT Smith form: Z_4 packed"), (6, "CRT Smith form: GF(2) bitset + GF(3) packed"),
+         (12, "CRT Smith form: Z_4 packed + GF(3) packed")],
     )
     def test_elimination_path(self, n, path):
-        assert elimination_path(n) == path
+        assert elimination_path(n, relations=True) == path
+
+    @pytest.mark.parametrize(
+        "n, path",
+        [(2, "GF(2) bitset"), (3, "GF(3) packed"), (4, "Z_4 packed"), (6, "GF(2) bitset + GF(3) packed"),
+         (12, "Z_4 packed + GF(3) packed"), (59049, "Z_59049 packed")],
+    )
+    def test_elimination_path_without_relations(self, n, path):
+        # row_order forms no Smith form: it names the kernel of each part
+        assert elimination_path(n, relations=False) == path
 
 
 COMPOSITE = (4, 6, 8, 9, 12)
@@ -489,3 +499,116 @@ class TestRowOrder:
     def test_needs_n_at_least_2(self):
         with pytest.raises(ValueError, match="n >= 2"):
             row_order(np.eye(2, dtype=np.int64), 1, np.zeros(2, dtype=np.int64))
+
+
+def reference_echelon_local(mat, p, k, column=None):
+    """Echelon form of mat over the local ring Z_q, q = p^k, by the numpy
+    column loop the packed kernel replaced: returns ``(ech, pivots, levels,
+    t)`` with ``t @ mat == ech (mod q)``, or, given a column, the
+    ``(pivots, levels)`` of ``[mat | column]`` with no transform.
+
+    Sweep v = 0 .. k-1 takes its pivots, column by column, from the entries
+    of valuation exactly v in the rows not yet pivoted, all of which p^v
+    divides.  A pivot row is swapped up and scaled by its unit's inverse, and
+    every other row loses the multiple of it that leaves its entry in the
+    pivot column reduced mod p^v.  Each pivot updates the block of ``[mat |
+    T]`` under its row's nonzero columns in one array expression.
+    """
+    q = p**k
+    rows, cols = mat.shape
+    if column is None:
+        w = np.concatenate((mat % q, np.eye(rows, dtype=np.int64)), axis=1)
+    else:
+        w = np.empty((rows, cols + 1), dtype=np.int64)
+        np.remainder(mat, q, out=w[:, :cols])
+        np.remainder(column, q, out=w[:, cols])
+        cols += 1
+    pivots, levels = [], []
+    r = 0
+    for v in range(k):
+        unit, step = p**v, p ** (v + 1)
+        for c in range(cols):
+            if r >= rows:
+                break
+            nz = np.flatnonzero(w[r:, c] % step)
+            if len(nz) == 0:
+                continue
+            pr = r + nz[0]
+            if pr != r:
+                w[[r, pr]] = w[[pr, r]]
+            w[r] = (w[r] * pow(int(w[r, c] // unit), -1, q)) % q
+            f = w[:, c] // unit
+            f[r] = 0
+            others = np.flatnonzero(f)
+            # only the pivot row's nonzero columns change
+            block = np.ix_(others, np.flatnonzero(w[r]))
+            w[block] = (w[block] - np.outer(f[others], w[r][block[1]])) % q
+            pivots.append(c)
+            levels.append(v)
+            r += 1
+    if column is not None:
+        return pivots, levels
+    return w[:, :cols], pivots, levels, w[:, cols:]
+
+
+# 64 is the widest q of 1-byte fields, 81 the narrowest of 2-byte ones
+RING_MODULI = ((2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5), (7, 2), (2, 6), (3, 4), (2, 7), (3, 5))
+
+
+@st.composite
+def ring_inputs(draw):
+    """A small matrix over Z_{p^k} whose entries take every valuation, with
+    zero and duplicate rows, and a column spanned by its columns or not."""
+    p, k = draw(st.sampled_from(RING_MODULI))
+    q = p**k
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.builds(lambda u, e: u * p**e, st.integers(-q, q), st.integers(0, k))
+    mat = draw(arrays(np.int64, (rows, cols), elements=entry))
+    for i in range(rows):
+        kind = draw(st.sampled_from(("keep", "keep", "zero", "duplicate")))
+        if kind == "zero":
+            mat[i] = 0
+        elif kind == "duplicate" and i:
+            mat[i] = mat[draw(st.integers(0, i - 1))] * p ** draw(st.integers(0, k - 1))
+    column = draw(arrays(np.int64, rows, elements=entry))
+    if draw(st.booleans()) and cols:
+        column = mat @ draw(arrays(np.int64, cols, elements=st.integers(0, q - 1)))
+    return p, k, mat, column
+
+
+class TestPackedRingKernel:
+    """The packed Z_{p^k} kernel against the numpy column loop it replaced:
+    the same levels, so the same factors, though the pivot columns may
+    differ, with and without an appended column."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ring_inputs())
+    def test_against_reference(self, data):
+        p, k, mat, column = data
+        q = p**k
+        rows, cols = mat.shape
+        ech, pivots, levels, t = _echelon(mat, p, k)
+        _, want_pivots, want_levels, _ = reference_echelon_local(mat, p, k)
+        assert sorted(levels) == sorted(want_levels) and levels == sorted(levels)
+        assert len(pivots) == len(want_pivots) == len(set(pivots))
+        assert np.array_equal(t @ mat % q, ech)
+        assert reference_rank(t, p) == rows  # invertible mod p, so mod q
+        assert not ech[len(pivots):].any()
+        for i, (c, v) in enumerate(zip(pivots, levels)):
+            assert ech[i, c] == p**v and not (ech[i] % p**v).any()
+            # zero on every pivot column of the rows above it
+            assert not ech[i, pivots[:i]].any()
+        found = _echelon(mat, p, k, column)
+        want = reference_echelon_local(mat, p, k, column)
+        assert sorted(found[1]) == sorted(want[1])
+        assert (cols in found[0]) == (cols in want[0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(ring_inputs())
+    def test_row_order_agrees_with_row_group(self, data):
+        p, k, mat, column = data
+        q = p**k
+        group = row_group(mat, q)
+        factors, in_span = row_order(mat, q, column)
+        assert factors == group.factors
+        assert in_span == (not (group.relations @ column % q).any())

@@ -175,6 +175,21 @@ class TestConstruction:
         assert mat.shape == (len(sm.generators), 2 * sm.nsites)
 
 
+class TestPrimePowerFields:
+    """Z_{p^k} models whose packed fields take 1, 2 and 4 bytes meet their
+    closed form n^(cells + 1) by both consistency routes."""
+
+    @pytest.mark.parametrize("qdim, m, n", [(81, 2, 2), (128, 2, 2), (3**10, 2, 2), (2**16, 2, 2),
+                                            (16, 3, 3), (27, 3, 3)])
+    def test_closed_form(self, qdim, m, n):
+        sm = model_for(f"zn:{qdim}", m=m, n=n)
+        want = qdim ** (m * n + 1)
+        assert gsd(sm) == want
+        assert report(sm)["k"] == m * n + 1
+        sm.analysis()  # the relations route: the Smith form
+        assert gsd(sm) == want
+
+
 class TestInt64Bound:
     """The engine computes in int64 and refuses n unless 4 L n^2 < 2^63,
     L = max(generators, 2 * sites); zn:N on torus:2x2 has L = 32, so N < 2^28."""
@@ -826,13 +841,15 @@ class TestConfinement:
 
 class TestLogging:
     @pytest.mark.parametrize(
-        "model, path, x_order, z_order",
-        [("m1", "GF(2) bitset", 2**4, 2**7), ("zn:3", "GF(3) packed", 3**4, 3**7),
-         ("zn:5", "GF(5) packed", 5**4, 5**7), ("zn:4", "CRT Smith form: Z_4 sweep", 4**4, 4**7),
-         ("zn:6", "CRT Smith form: GF(2) bitset + GF(3) packed", 6**4, 6**7)],
+        "model, span_path, relations_path, x_order, z_order",
+        [("m1", "GF(2) bitset", "GF(2) bitset", 2**4, 2**7),
+         ("zn:3", "GF(3) packed", "GF(3) packed", 3**4, 3**7),
+         ("zn:5", "GF(5) packed", "GF(5) packed", 5**4, 5**7),
+         ("zn:4", "Z_4 packed", "CRT Smith form: Z_4 packed", 4**4, 4**7),
+         ("zn:6", "GF(2) bitset + GF(3) packed", "CRT Smith form: GF(2) bitset + GF(3) packed", 6**4, 6**7)],
         ids=["m1", "zn:3", "zn:5", "zn:4", "zn:6"],
     )
-    def test_count_reports_blocks_and_stages(self, caplog, model, path, x_order, z_order):
+    def test_count_reports_blocks_and_stages(self, caplog, model, span_path, relations_path, x_order, z_order):
         caplog.set_level(logging.DEBUG, logger="gtoric.stabilizer")
         sm = model_for(model)
         report(sm)
@@ -840,22 +857,18 @@ class TestLogging:
         report(sm)
         span, relations = [r for r in caplog.records if r.name == "gtoric.stabilizer"]
         # torus:2x2: four vertex X rows, and four vertex and four face Z rows,
-        # on 16 sites; without the transform a relation count is known only
-        # over a prime field, as rows - rank
-        prime = "Smith" not in path
-        for rec, route, counts in ((span, "span", (0, 1) if prime else (None, None)),
-                                   (relations, "relations", (0, 1))):
+        # on 16 sites; the span route names each part's kernel, forms no
+        # Smith form, and counts the relations the relations route forms
+        for rec, route, path in ((span, "span", span_path), (relations, "relations", relations_path)):
             assert rec.levelno == logging.DEBUG
             assert rec.blocks == [
-                {"block": "X", "shape": (4, 16), "path": path, "order": x_order, "route": route,
-                 "relations": counts[0]},
-                {"block": "Z", "shape": (8, 16), "path": path, "order": z_order, "route": route,
-                 "relations": counts[1]},
+                {"block": "X", "shape": (4, 16), "path": path, "order": x_order, "route": route, "relations": 0},
+                {"block": "Z", "shape": (8, 16), "path": path, "order": z_order, "route": route, "relations": 1},
             ]
             assert set(rec.seconds) == {"table", "check", "eliminations", "consistency"}
             assert all(v >= 0 for v in rec.seconds.values())
             assert f"Z 8x16 by {path}: order" in rec.getMessage()
-            assert f"consistency by {route}" in rec.getMessage()
+            assert f"consistency by {route}, 1 relations" in rec.getMessage()
 
     def test_silent_by_default(self, capfd):
         report(model_for("zn:6"))
