@@ -4,18 +4,18 @@ projector families, and the model Hamiltonians.
 Every Hamiltonian here has the shape ``H = -sum_v A_v - sum_f B_f`` where
 each term is a product of cyclic projectors ``(1/n) sum_j w_n^{-t j} S^j``
 for a Pauli string ``S`` and a target eigenvalue exponent ``t``.  A term
-stores only its ``(S, t)`` factor pairs; the stabilizer engine reads them
-directly, and the expanded operator is built from them on first read.
+holds only its ``(S, t)`` factor pairs, and the expanded operator is built
+from them on first read.
 
 A model is declared in ``TORUS_MODELS`` as its vertex and face factors, each
 a pure X or Z string given by site offsets and exponents.
 ``build_hamiltonian`` writes a factor for all vertices or all faces at once
-by indexing the lattice's site-index array, and every generator of the model
-lands in one ``PauliTable`` (``HamiltonianSpec.table``); the terms' strings
-are read-only views of its rows.  The per-site helpers below
-(``vertex_corner_string``, ``face_corner_string``, the projector families,
-``global_shift_symmetry``) build single strings for the symbolic checks,
-each through ``paulis.lattice_string``.
+by indexing the lattice's site-index array.  A model's generators are
+stored once, as one ``PauliTable`` and one target each; the terms, their
+strings read-only views of the table's rows, are built on first read.  The
+per-site helpers below (``vertex_corner_string``, ``face_corner_string``,
+the projector families, ``global_shift_symmetry``) build single strings for
+the symbolic checks, each through ``paulis.lattice_string``.
 
 Basis/label conventions (see :mod:`gtoric.paulis`): site levels are labelled
 1..n with ``|0> == |n>`` and ``Z|i> = w_n^i |i>``.  An edge morphism x_ij is
@@ -25,8 +25,10 @@ encoded as the pair (tail digit i, head digit j) on the edge's two sites.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import islice
 
 import numpy as np
 
@@ -284,20 +286,26 @@ class Term:
         return state.ravel()
 
 
-@dataclass
+@dataclass(eq=False)
 class HamiltonianSpec:
+    """A model's generators, term by term, as one ``table`` and one target
+    each, and its terms' ``(kind, location, factor count)`` as ``layout``."""
+
     model: str
     lattice: Lattice
     n: int
-    terms: list = field(default_factory=list)
-    # the terms' factor strings, in order, as one table (None: stacked from the strings on use)
-    table: PauliTable = None
+    table: PauliTable
+    targets: np.ndarray
+    layout: list
+
+    @cached_property
+    def terms(self):
+        """The terms, built on first read; their strings are views of the table's rows."""
+        factors = iter(zip(self.table.strings(), self.targets.tolist()))
+        return tuple(Term(kind, loc, list(islice(factors, k))) for kind, loc, k in self.layout)
 
     def term_counts(self):
-        counts = {}
-        for t in self.terms:
-            counts[t.kind] = counts.get(t.kind, 0) + 1
-        return counts
+        return dict(Counter(kind for kind, _, _ in self.layout))
 
     def vertex_terms(self):
         return [t for t in self.terms if t.kind.endswith("vertex")]
@@ -373,13 +381,13 @@ def _placed(lat, anchors, factor):
 
 
 def build_hamiltonian(model, lat, n=2):
-    """Construct a model Hamiltonian as a list of commuting projector terms.
+    """Construct a model Hamiltonian of commuting projector terms.
 
     ``model`` is a model-id string ('m1' ... 'mnondeg', 'zn:N', 'boundary').
     All torus models live on the torus; 'boundary' needs the open topology.
     Every generator of every term is written at once into one
     ``PauliTable``, a factor at a time over all vertices or all faces, by
-    indexing ``lat.index``; the terms' strings are views of its rows.
+    indexing ``lat.index``; no string is built until ``terms`` is read.
     """
     if isinstance(model, str):
         model, model_n = parse_model_id(model)
@@ -390,21 +398,20 @@ def build_hamiltonian(model, lat, n=2):
             raise ValueError("the boundary model needs an open lattice")
         if n != 2:
             raise ValueError("the boundary model is a two-level model")
-        return _write(HamiltonianSpec("boundary", lat, n), _boundary_families(lat))
+        return _write("boundary", lat, n, _boundary_families(lat))
     if lat.topology != "torus":
         raise ValueError(f"model {model!r} needs a torus")
     if model != "zn" and n != 2:
         raise ValueError(f"model {model!r} is a two-level model")
     if model not in TORUS_MODELS:
         raise ValueError(f"unknown model {model!r}")
-    spec = HamiltonianSpec(model if model != "zn" else f"zn:{n}", lat, n)
     families = []
     vertex_factors, face_factors = TORUS_MODELS[model]
     for kind, locations, factors in (("vertex", lat.vertices(), vertex_factors),
                                      ("face", lat.faces(), face_factors)):
         anchors = np.array(locations)
         families.append(([kind] * len(locations), locations, [_placed(lat, anchors, f) for f in factors]))
-    return _write(spec, families)
+    return _write(model if model != "zn" else f"zn:{n}", lat, n, families)
 
 
 def _boundary_families(lat):
@@ -427,27 +434,26 @@ def _boundary_families(lat):
     return [(kinds, vertices, vertex), (["face"] * len(faces), faces, face)]
 
 
-def _write(spec, families):
-    """Write the families' generators into the spec's table and make its
-    terms.  A family is (kinds, locations, factors), one kind and location
+def _write(model, lat, n, families):
+    """The spec of the families' terms, their generators written into one
+    table.  A family is (kinds, locations, factors), one kind and location
     per term; its factors come from ``_placed``, and term t's factor k is
     generator ``start + t * len(factors) + k``."""
     placements = {"x": [], "z": []}
+    targets, layout = [], []
     start = 0
-    for _, locations, factors in families:
+    for kinds, locations, factors in families:
         first = start + len(factors) * np.arange(len(locations))
         for k, (pauli, sites, exps, _) in enumerate(factors):
             term, place = np.nonzero(sites >= 0)
             placements[pauli].append((first[term] + k, sites[term, place], exps[place]))
+        targets += [target for *_, target in factors] * len(locations)
+        layout.extend((kind, location, len(factors)) for kind, location in zip(kinds, locations))
         start += len(factors) * len(locations)
     xs, zs = ([np.concatenate(a) for a in zip(*placements[p])] for p in ("x", "z"))
-    spec.table = PauliTable(spec.n, spec.lattice.n_sites, start, xs, zs)
-    strings = iter(spec.table.strings())
-    for kinds, locations, factors in families:
-        targets = [target for *_, target in factors]
-        for kind, location in zip(kinds, locations):
-            spec.terms.append(Term(kind, location, [(next(strings), t) for t in targets]))
-    return spec
+    targets = np.array(targets, dtype=np.int64)
+    targets.setflags(write=False)
+    return HamiltonianSpec(model, lat, n, PauliTable(n, lat.n_sites, start, xs, zs), targets, layout)
 
 
 def global_shift_symmetry(lat, n=2):

@@ -295,7 +295,7 @@ def construct_ground_state(h, seed_digits):
     values = measure_syndrome(h, vec)
     if any(abs(val - 1.0) > TOL for val in values):
         raise AssertionError("constructed state is not a joint +1 eigenstate")
-    _log_applied("construct_ground_state", len(vec), faces + vertices + h.terms, checks + values)
+    _log_applied("construct_ground_state", len(vec), [*faces, *vertices, *h.terms], checks + values)
     return vec
 
 

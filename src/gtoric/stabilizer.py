@@ -1,11 +1,10 @@
 """Exact stabilizer engine over Z_n: ground-space dimension, phase
 consistency, logical operators, syndromes, and string/loop constructions.
 
-A stabilizer model is a list of commuting Pauli-string generators, each of
-order dividing n, with target eigenvalue exponents.  Their exponents and
-phases are one ``paulis.PauliTable``: the catalog writes it with array
-operations, and a model built from a list of strings stacks their rows
-once.  Every catalog model is CSS, each generator pure X or pure Z, and the
+A stabilizer model is a set of commuting Pauli-string generators, each of
+order dividing n, with target eigenvalue exponents, stored once as one
+``paulis.PauliTable`` of exponents and phases and one array of targets.
+Every catalog model is CSS, each generator pure X or pure Z, and the
 analysis then works on two blocks, the X rows on the x columns and the Z
 rows on the z columns: the generated group is the direct product of theirs,
 and its relations are theirs.  Any other table is one block.  Each model
@@ -44,6 +43,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import itertools
 import logging
 import math
 import time
@@ -115,39 +115,41 @@ class _Orders:
     seconds: float
 
 
-@dataclass
+@dataclass(eq=False)
 class StabilizerModel:
     """Pauli-string generators with target exponents, analyzed on first use.
 
-    The generators' exponents and phases are one ``PauliTable``: the spec's
-    own when built by ``from_hamiltonian``, otherwise the strings' rows
-    stacked once.  The engine computes in int64.  Every product-sum it forms
-    (elimination, membership, ``_form``, the commutation check,
-    ``phase_consistent``) has at most ``L = max(generators, 2 * nsites)``
-    terms, each below ``2 n^2`` in magnitude, so a model is refused with
-    ``InvalidModelError`` unless ``4 L n^2 < 2^63``.  For zn:N on torus:2x2
-    (L = 32) that admits N < 2^28.
+    The generators are stored once, as one ``PauliTable`` (the spec's own
+    from ``from_hamiltonian``) and one target each, reduced mod n; the
+    ``(PauliString, target)`` pairs of ``generators`` are built on read.
+    The engine computes in int64.  Every product-sum it forms (elimination,
+    membership, ``_form``, the commutation check, ``phase_consistent``) has
+    at most ``L = max(generators, 2 * nsites)`` terms, each below ``2 n^2``
+    in magnitude, so a model is refused with ``InvalidModelError`` unless
+    ``4 L n^2 < 2^63``.  For zn:N on torus:2x2 (L = 32) that admits N < 2^28.
     """
 
     n: int
     nsites: int
-    generators: list  # list of (PauliString, target exponent mod n)
-    term_members: list  # per-term list of generator indices
+    table: PauliTable = field(repr=False)
+    targets: np.ndarray  # one target exponent per generator
+    term_members: list  # per-term sequence of generator indices
     term_info: list  # per-term (kind, location)
     lattice: object = None
     model: str = None
-    table: PauliTable = field(default=None, repr=False, compare=False)
-    _analysis: linalg.RowGroup = field(default=None, init=False, repr=False, compare=False)
+    _analysis: linalg.RowGroup = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        terms = max(len(self.generators), 2 * self.nsites)
+        terms = max(len(self.table), 2 * self.nsites)
         if 4 * terms * self.n**2 >= 2**63:
             raise InvalidModelError(
                 f"n = {self.n} is too large: exact int64 arithmetic on this model "
                 f"needs 4 L n^2 < 2^63 with L = {terms}"
             )
-        if self.table is None:
-            self.table = PauliTable.from_strings(self.n, self.nsites, [s for s, _ in self.generators])
+        if len(self.targets) != len(self.table):
+            raise InvalidModelError(f"{len(self.targets)} targets for {len(self.table)} generators")
+        self.targets = np.asarray(self.targets, dtype=np.int64) % self.n
+        self.targets.setflags(write=False)
         # dropping the n*e_i relations relies on s^n = I
         bad = np.flatnonzero(~self.table.order_divides_n())
         if len(bad):
@@ -155,20 +157,15 @@ class StabilizerModel:
 
     @classmethod
     def from_hamiltonian(cls, h):
-        gens, members = [], []
-        for t in h.terms:
-            members.append(list(range(len(gens), len(gens) + len(t.factors))))
-            gens.extend((s, tgt % h.n) for s, tgt in t.factors)
-        return cls(
-            n=h.n,
-            nsites=h.lattice.n_sites,
-            generators=gens,
-            term_members=members,
-            term_info=[(t.kind, t.location) for t in h.terms],
-            lattice=h.lattice,
-            model=h.model,
-            table=h.table,
-        )
+        counts = [count for *_, count in h.layout]
+        members = [range(start, start + k) for start, k in zip(itertools.accumulate(counts, initial=0), counts)]
+        info = [(kind, location) for kind, location, _ in h.layout]
+        return cls(h.n, h.lattice.n_sites, h.table, h.targets, members, info, h.lattice, h.model)
+
+    @cached_property
+    def generators(self):
+        """Each generator as ``(PauliString, target)``, its string a view of the table's rows."""
+        return tuple(zip(self.table.strings(), self.targets.tolist()))
 
     def exponent_matrix(self):
         """Rows are generator (x | z) exponent vectors, as one dense array."""
@@ -179,7 +176,7 @@ class StabilizerModel:
     def exponent_table(self):
         """``[X|Z]`` as one CSR matrix: every query reads the generators here."""
         gen, col, exp = self.table.entries()
-        g = len(self.generators)
+        g = len(self.table)
         indptr = np.concatenate(([0], np.cumsum(np.bincount(gen, minlength=g))))
         return sp.csr_matrix((exp, col, indptr), shape=(g, 2 * self.nsites))
 
@@ -188,7 +185,7 @@ class StabilizerModel:
         """Sparse term-by-generator matrix, 1 where the generator is a factor of the term."""
         idx = np.array([i for members in self.term_members for i in members], dtype=np.int64)
         ptr = np.cumsum([0] + [len(members) for members in self.term_members])
-        return sp.csr_matrix((np.ones(ptr[-1]), idx, ptr), shape=(len(ptr) - 1, len(self.generators)))
+        return sp.csr_matrix((np.ones(ptr[-1]), idx, ptr), shape=(len(ptr) - 1, len(self.table)))
 
     def check_commuting(self):
         """Raise unless ``X Z^T - Z X^T == 0 (mod n)`` for the generators'
@@ -283,7 +280,7 @@ class StabilizerModel:
         targets, so ``with_flipped_target`` drops it from its copy."""
         blocks = self._blocks.blocks
         start = time.perf_counter()
-        half = _phase_column(self) // 2
+        half = (self.table.phase - 2 * self.targets) // 2
         found = [linalg.row_order(b.mat, self.n, half[b.gens]) for b in blocks]
         factors, consistent = zip(*found)
         return _Orders(factors, consistent, time.perf_counter() - start)
@@ -307,7 +304,7 @@ class StabilizerModel:
         if self._analysis is None:
             blocks, groups = self._blocks.blocks, self._split.groups
             count = sum(len(g.relations) for g in groups)
-            relations = np.zeros((count, len(self.generators)), dtype=np.int64)
+            relations = np.zeros((count, len(self.table)), dtype=np.int64)
             row = 0
             for b, g in zip(blocks, groups):
                 k = len(g.relations)
@@ -322,16 +319,12 @@ class StabilizerModel:
     def with_flipped_target(self, index, delta=1):
         self._split  # relations built once, shared with the copy
         flipped = copy.copy(self)  # shares the analysis and every table built so far
-        flipped.__dict__.pop("_orders", None)  # it holds this model's targets
-        flipped.generators = list(self.generators)
-        s, t = self.generators[index]
-        flipped.generators[index] = (s, (t + delta) % self.n)
+        for held in ("_orders", "generators"):  # they hold this model's targets
+            flipped.__dict__.pop(held, None)
+        flipped.targets = self.targets.copy()
+        flipped.targets[index] = (flipped.targets[index] + delta) % self.n
+        flipped.targets.setflags(write=False)
         return flipped
-
-
-def _phase_column(m):
-    """c_i = p_i - 2 t_i per generator: the phase each relation's product must cancel."""
-    return m.table.phase - 2 * np.array([t for _, t in m.generators], dtype=np.int64)
 
 
 def _invariant_factors(block_factors, n):
@@ -376,7 +369,7 @@ def phase_consistent(m):
     if m._route() == "span":
         return all(m._orders.consistent)
     n = m.n
-    c = _phase_column(m)
+    c = m.table.phase - 2 * m.targets  # the phase each relation's product must cancel
     for b, group, xz in zip(m._blocks.blocks, m._split.groups, m._split.xz):
         rel = group.relations  # reduced mod n by row_group
         phase = rel @ c[b.gens]
@@ -575,7 +568,8 @@ def confinement_profile(m, direction, lengths):
     otherwise) and cost a constant 2; ``forbidden-vertical`` places X on E
     sites moving up, ``forbidden-horizontal`` places X on N sites moving
     east, both of which drag vertex excitations along and cost energy per
-    step.
+    step.  The names describe these chains, not the model: m1's faces also
+    move along a row at a constant energy 2, by constituent IV then I.
     """
     # constituent II is one S site and constituent I one W site
     allowed = ("S", (0, 1), (1, 0)) if m.model == "mhoriz" else ("W", (1, 0), (0, 1))
@@ -607,10 +601,10 @@ def report(m):
     return {
         "n": m.n,
         "sites": m.nsites,
-        "generators": len(m.generators),
+        "generators": len(m.table),
         "group_order": math.prod(factors),
         "rank": rank,
-        "relations": None if rank is None else len(m.generators) - rank,
+        "relations": None if rank is None else len(m.table) - rank,
         "consistency": g != 0,
         "gsd": g,
         "k": _power_of(g, m.n) if g else 0,

@@ -256,6 +256,14 @@ def _ref_six(lat, f, n, alternating):
     return _ref_z_string(lat, n, list(zip(lat.face_nonsw_sites(f), exps)))
 
 
+def _ref_spec(model, lat, n, terms):
+    """The spec of hand-placed terms, their strings stacked into one table."""
+    factors = [f for t in terms for f in t.factors]
+    table = PauliTable.from_strings(n, lat.n_sites, [s for s, _ in factors])
+    layout = [(t.kind, t.location, len(t.factors)) for t in terms]
+    return HamiltonianSpec(model, lat, n, table, np.array([t for _, t in factors]), layout)
+
+
 def reference_hamiltonian(model, lat, n=2):
     """``build_hamiltonian`` as it was written before the table builder: one
     PauliString per factor, placed site by site."""
@@ -276,7 +284,7 @@ def reference_hamiltonian(model, lat, n=2):
             terms.append(Term(kind, v, [(x_all, 0), (_ref_vertex_z(lat, v, n, zdirs, (1, 1)), 1)]))
         for f in lat.faces():
             terms.append(Term("face", f, [(_ref_six(lat, f, n, alternating=False), 1)]))
-        return HamiltonianSpec("boundary", lat, n, terms)
+        return _ref_spec("boundary", lat, n, terms)
     half = n // 2
     corner_checks = {"NW": ("WN", (-1, 1)), "SW": ("WS", (1, -1)), "SE": ("SE", (1, -1))}
     for v in lat.vertices():
@@ -307,7 +315,7 @@ def reference_hamiltonian(model, lat, n=2):
         else:
             factors = [(_ref_six(lat, f, n, alternating=True), 0)]
         terms.append(Term("face", f, factors))
-    return HamiltonianSpec(model if model != "zn" else f"zn:{n}", lat, n, terms)
+    return _ref_spec(model if model != "zn" else f"zn:{n}", lat, n, terms)
 
 
 REFERENCE_CASES = [
@@ -334,9 +342,7 @@ class TestReferenceBuilder:
                 assert np.array_equal(s.x, r.x) and np.array_equal(s.z, r.z)
                 assert (s.phase, target) == (r.phase, want_target)
                 assert type(target) is int and type(s.phase) is int
-        assert want.table is None
-        stacked = PauliTable.from_strings(want.n, lat.n_sites, [s for t in want.terms for s, _ in t.factors])
         for name in ("x", "z", "x_row", "z_row", "phase"):
-            assert np.array_equal(getattr(got.table, name), getattr(stacked, name)), name
+            assert np.array_equal(getattr(got.table, name), getattr(want.table, name)), name
         table, ref_table = (StabilizerModel.from_hamiltonian(h).exponent_table for h in (got, want))
         assert table.shape == ref_table.shape and (table != ref_table).nnz == 0

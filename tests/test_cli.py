@@ -140,7 +140,7 @@ class TestCommutingPairs:
         # Z on (0,0).W fails to commute only with the X check of vertex (0,0)
         spec = build_hamiltonian("m1", Lattice("torus", 4, 4))
         z = lattice_string(spec.lattice, 2, z=[((0, 0, "W"), 1)])
-        terms = spec.terms + [Term("probe", (0, 0), [(z, 0)])]
+        terms = list(spec.terms) + [Term("probe", (0, 0), [(z, 0)])]
         assert _noncommuting_pairs(terms) == all_pairs(terms) == 1
 
 
@@ -261,6 +261,24 @@ class TestExcite:
         data = json.loads(res.output)
         assert data["energy"] == 0
         assert data["violated"] == []
+
+    @pytest.mark.parametrize(
+        "op, faces",
+        [
+            pytest.param("X@(1,0).N X@(1,0).E X@(2,0).W", ["face (0, 0)", "face (1, 0)"], id="one-step"),
+            pytest.param("X@(1,0).N X@(1,0).E X@(2,0).W X@(2,0).N X@(2,0).E X@(3,0).W",
+                         ["face (0, 0)", "face (2, 0)"], id="two-steps"),
+        ],
+    )
+    def test_m1_faces_move_horizontally_at_no_cost(self, runner, op, faces):
+        """Constituent IV then I moves m1's face pair along a row at energy 2,
+        though the forbidden-horizontal chain, X on N sites, costs 2 a step:
+        the chain names describe the chains, not the model."""
+        res = runner.invoke(main, ["excite", "--model", "m1", "--lattice", "torus:5x5", "--op", op,
+                                   "--format", "json"])
+        assert res.exit_code == 0
+        data = json.loads(res.output)
+        assert (data["energy"], data["violated"]) == (2, faces)
 
     def test_seed_config_dense_crosscheck(self, runner):
         res = runner.invoke(

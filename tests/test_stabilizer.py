@@ -1,11 +1,13 @@
 """Stabilizer engine: degeneracy, consistency, logicals, syndromes, strings."""
 
+import json
 import logging
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,10 +17,11 @@ from gtoric.catalog import (
     cyclic_projector,
     global_shift_symmetry,
 )
+from gtoric.cli import main
 from gtoric.lattice import Lattice
 from gtoric.linalg import _prime_powers, row_group
 from gtoric.oracle import trace_product
-from gtoric.paulis import OperatorSum, PauliString, _roots, symplectic_phase
+from gtoric.paulis import OperatorSum, PauliString, PauliTable, _roots, symplectic_phase
 from gtoric.stabilizer import (
     InvalidModelError,
     InvalidPathError,
@@ -50,7 +53,8 @@ def bare_model(n, nsites, generators):
     return StabilizerModel(
         n=n,
         nsites=nsites,
-        generators=generators,
+        table=PauliTable.from_strings(n, nsites, [s for s, _ in generators]),
+        targets=[t for _, t in generators],
         term_members=[[i] for i in range(len(generators))],
         term_info=info,
     )
@@ -80,7 +84,8 @@ class TestConstruction:
         bad = StabilizerModel(
             n=2,
             nsites=lat.n_sites,
-            generators=gens + [(clash, 0)],
+            table=PauliTable.from_strings(2, lat.n_sites, [s for s, _ in gens] + [clash]),
+            targets=[t for _, t in gens] + [0],
             term_members=sm.term_members + [[len(gens)]],
             term_info=sm.term_info + [("vertex", (0, 0))],
             lattice=lat,
@@ -274,8 +279,9 @@ def powered(model_id, m, n, powers):
     """The zn model with generator i replaced by its ``powers[i]``-th power,
     so that some summands of the generated group are smaller than Z_n."""
     sm = model_for(model_id, m=m, n=n)
-    gens = [(s ** powers.get(i, 1), t) for i, (s, t) in enumerate(sm.generators)]
-    return StabilizerModel(sm.n, sm.nsites, gens, sm.term_members, sm.term_info)
+    strings = [s ** powers.get(i, 1) for i, (s, _) in enumerate(sm.generators)]
+    table = PauliTable.from_strings(sm.n, sm.nsites, strings)
+    return StabilizerModel(sm.n, sm.nsites, table, sm.targets, sm.term_members, sm.term_info)
 
 
 class TestCompositeReports:
@@ -613,7 +619,7 @@ class TestBlocksAgainstJoint:
             want = reference_joint(flipped)[1]
             assert gsd(flipped) == want
             # the same targets on a fresh model take the span route
-            fresh = replace(sm, generators=flipped.generators)
+            fresh = replace(sm, targets=flipped.targets)
             assert fresh._route() == "span"
             assert gsd(fresh) == want
 
@@ -621,10 +627,9 @@ class TestBlocksAgainstJoint:
     def test_frustrated_catalog_model(self, n):
         """zn:N with one face target moved: frustrated, on both routes."""
         sm = model_for(f"zn:{n}")
-        targets = list(sm.generators)
-        s, t = targets[-1]
-        targets[-1] = (s, (t + 1) % n)
-        frustrated = replace(sm, generators=targets)
+        targets = sm.targets.copy()
+        targets[-1] = (targets[-1] + 1) % n
+        frustrated = replace(sm, targets=targets)
         assert reference_joint(frustrated)[1] == 0
         assert_matches_joint(frustrated)
         assert_matches_joint(model_for(f"zn:{n}"))
@@ -687,6 +692,76 @@ class TestNoOperatorAlgebra:
         assert term.opsum is term.opsum
         assert len(calls) == 1
         assert (term.opsum * term.opsum).approx_equal(term.opsum)
+
+
+class TestNoStrings:
+    """A count reads the table and its targets: with ``PauliTable.strings``
+    refused, the build and every stabilizer answer below still run."""
+
+    @pytest.fixture()
+    def no_strings(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("generator strings built on the count path")
+
+        monkeypatch.setattr(PauliTable, "strings", refuse)
+
+    @pytest.mark.parametrize(
+        "model, size",
+        [pytest.param("m1", 4, id="m1"), pytest.param("zn:3", 3, id="zn3"),
+         pytest.param("zn:4", 3, id="zn4")],
+    )
+    def test_answers_from_the_table(self, no_strings, model, size):
+        sm = StabilizerModel.from_hamiltonian(build_hamiltonian(model, Lattice("torus", size, size)))
+        rep = report(sm)
+        assert rep["consistency"] and gsd(sm) == rep["gsd"]
+        error = PauliString.from_ops(sm.n, sm.nsites, x_at={0: 1})
+        assert syndrome(sm, error).energy > 0
+        assert is_logical(sm, error) == "detectable"
+        row = sm.exponent_matrix()[0]
+        assert is_logical(sm, PauliString(sm.n, row[: sm.nsites], row[sm.nsites :])) == "stabilizer"
+        assert 0 in [gsd(sm.with_flipped_target(i)) for i in range(len(sm.table))]
+
+    def test_gsd_command(self, no_strings):
+        args = ["gsd", "--model", "m1", "--lattice", "torus:3x3", "--method", "stabilizer", "--format", "json"]
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 0, res.output
+        data = json.loads(res.output)
+        assert (data["gsd"], data["terms"]) == (2**10, {"face": 9, "vertex": 9})
+
+
+class TestOneStoredForm:
+    """The table and its targets are a model's only stored form: the strings
+    are built from them on read and cannot be edited apart from them."""
+
+    def test_length_mismatch_rejected(self):
+        sm = model_for("m1", m=3, n=3)
+        with pytest.raises(InvalidModelError, match="^26 targets for 27 generators$"):
+            replace(sm, targets=sm.targets[:-1])
+
+    def test_strings_cannot_be_edited(self):
+        spec = build_hamiltonian("m1", Lattice("torus", 3, 3))
+        sm = StabilizerModel.from_hamiltonian(spec)
+        with pytest.raises(AttributeError):
+            spec.terms.append(spec.terms[0])
+        with pytest.raises(TypeError):
+            sm.generators[0] = sm.generators[1]
+        with pytest.raises(TypeError):  # generators is no field
+            replace(sm, generators=[])
+        with pytest.raises(ValueError):  # read-only
+            sm.targets[0] = 1
+        assert gsd(sm) == 2**10
+
+    def test_new_targets_match_joint(self):
+        sm = model_for("m1", m=3, n=3)
+        got = []
+        for index in (0, 1, len(sm.table) - 1):
+            flipped = sm.with_flipped_target(index)
+            assert [t for _, t in flipped.generators] == flipped.targets.tolist()
+            want = reference_joint(flipped)[1]
+            got.append(want)
+            assert gsd(flipped) == gsd(replace(sm, targets=flipped.targets)) == want
+        assert got == [2**10, 0, 0]
+        assert [t for _, t in sm.generators] == sm.targets.tolist()
 
 
 class TestLogicalStructure:
