@@ -37,7 +37,7 @@ from .lattice import DIRECTIONS, FACE_CORNERS, FACE_NONSW, Lattice
 from .oracle import _check_budget
 from .paulis import (
     OperatorSum, PauliString, PauliTable, _cmul, _roots, act, clock_exponents, lattice_string,
-    order_divides_n, pauli_to_text, power_action,
+    order_divides_n, power_action,
 )
 
 MODEL_IDS = ("m1", "m2", "m3exp", "mhoriz", "mvert", "mnondeg", "zn", "boundary")
@@ -312,24 +312,6 @@ class HamiltonianSpec:
 
     def face_terms(self):
         return [t for t in self.terms if t.kind == "face"]
-
-    def to_json_dict(self):
-        return {
-            "model": self.model,
-            "lattice": self.lattice.spec,
-            "n": self.n,
-            "terms": [
-                {
-                    "kind": t.kind,
-                    "location": list(t.location),
-                    "factors": [
-                        {"string": pauli_to_text(s, self.lattice), "target": tgt}
-                        for s, tgt in t.factors
-                    ],
-                }
-                for t in self.terms
-            ],
-        }
 
 
 # A factor is (pauli, offsets, exponents, target): a pure "x" or "z" string

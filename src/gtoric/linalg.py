@@ -8,7 +8,11 @@ rows with one decomposition, chosen once by the modulus.  For prime n one
 the rows from the transform's last rows, and membership by reducing a vector
 against the echelon rows.  For composite n one ``smith_normal_form`` over Z_n
 gives the order and the relations from the diagonal and the left transform,
-and membership from one product with the right transform.
+and membership from one product with the right transform's columns whose
+invariant factor is not 1.  Either membership form is held as one sparse
+matrix, the echelon rows or those columns, so that a test costs a product
+over its nonzero entries; the echelon rows of a catalog model's block are a
+few percent nonzero.
 
 ``row_order`` answers what a count needs, the group's invariant factors and
 whether a column lies in the span of the matrix's columns, from one
@@ -43,6 +47,7 @@ from math import gcd, prod
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 
 @functools.lru_cache(maxsize=None)
@@ -442,7 +447,8 @@ class RowGroup:
     ``factors`` are the orders of the cyclic summands of the group, so their
     product is its order.  ``relations`` is a ``(k, rows)`` array whose rows
     generate ``{j : j @ mat == 0 (mod n)}`` mod n.  ``contains(vec)`` tells
-    whether vec is a Z_n-combination of the rows.
+    whether vec is a Z_n-combination of the rows, in time linear in the
+    nonzero entries of the decomposition it holds.
     """
 
     n: int
@@ -465,17 +471,29 @@ class RowGroup:
 def row_group(mat, n):
     """Decompose mat once: ``row_echelon_mod_p`` for prime n, otherwise
     ``smith_normal_form`` over Z_n, which refuses an n below 2 with
-    ``ValueError``."""
+    ``ValueError``.
+
+    Membership reads one CSR matrix.  For prime n it is the r echelon rows
+    transposed to cols x r, B, and vec is a member when ``vec - B
+    vec[pivots] == 0 (mod n)``: the reduced form is the identity on the
+    pivot columns, so the only candidate combination is vec's own pivot
+    entries.  For composite n it is the columns of the Smith v whose g is
+    not 1, transposed to kept x cols, and vec is a member when ``(v_kept^T
+    vec) mod g_kept == 0``: the group is ``{y v^-1 : g_i | y_i}``.  Both are
+    exact in int64, since every entry and vec's residues are below n and a
+    product-sum has at most ``cols`` terms, within the ``4 L n^2 < 2^63``
+    bound, and neither keeps a dense basis or v."""
     mat = np.asarray(mat, dtype=np.int64)
     rows, cols = mat.shape
     if is_prime(n):
         ech, pivots, t = row_echelon_mod_p(mat, n)
         r = len(pivots)
-        basis = ech[:r]
+        pivots = np.array(pivots, dtype=np.intp)
+        basis = sp.csc_matrix(ech[:r]).T  # CSR, cols x r: row c is column c of the echelon rows
 
         def contains(vec):
             vec = np.asarray(vec, dtype=np.int64) % n
-            return not np.any((vec - vec[pivots] @ basis) % n)
+            return not np.any((vec - basis @ vec[pivots]) % n)
 
         return RowGroup(n, (n,) * r, t[r:] % n, contains)
     d, u, v = smith_normal_form(mat, n)
@@ -484,10 +502,11 @@ def row_group(mat, n):
     kept = g_rows != 1
     relations = (n // g_rows[kept])[:, None] * u[kept] % n
     # columns with g = 1 test nothing: every residue is divisible by 1
-    v_kept, g_kept = np.take(v, np.flatnonzero(g_cols != 1), axis=1), g_cols[g_cols != 1]
+    tested = np.flatnonzero(g_cols != 1)
+    v_kept, g_kept = sp.csc_matrix(v)[:, tested].T, g_cols[tested]  # CSR, kept x cols
 
     def contains(vec):
-        return not np.any((np.asarray(vec, dtype=np.int64) % n @ v_kept) % g_kept)
+        return not np.any((v_kept @ (np.asarray(vec, dtype=np.int64) % n)) % g_kept)
 
     return RowGroup(n, tuple(n // int(gi) for gi in g if gi != n), relations, contains)
 

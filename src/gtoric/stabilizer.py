@@ -27,8 +27,10 @@ ints, and otherwise the Smith form over Z_n, one elimination per
 prime-power part joined by the CRT) into its group order, the relations
 among its generators and a membership test, shared with target-flipped
 copies, and from then on each consistency verdict is one product with the
-relations.  The route is chosen by whether the relations exist.  Each count
-logs its blocks, the kernel that eliminated them
+relations and each membership read one sparse product, with the echelon
+rows for prime n and with the Smith v's tested columns for composite n.
+The route is chosen by whether the relations exist.  Each count logs its
+blocks, the kernel that eliminated them
 (``linalg.elimination_path``), the route of each block's consistency
 verdict and the seconds of each stage as one DEBUG record on the
 ``gtoric.stabilizer`` logger, silent by default.
@@ -511,9 +513,10 @@ def in_stabilizer_group(m, p):
 def is_logical(m, p):
     """Classify a Pauli string: 'detectable' (nonzero syndrome),
     'stabilizer' (in the generated group) or 'logical'."""
-    if _form(m.exponent_table, *_exponents(m, p), m.n).any():
+    (vec,) = _exponents(m, p)  # built once, for the syndrome and the membership test
+    if _form(m.exponent_table, vec, m.n).any():
         return "detectable"
-    return "stabilizer" if in_stabilizer_group(m, p) else "logical"
+    return "stabilizer" if _contains(m, vec) else "logical"
 
 
 def logically_equivalent(m, p, q):

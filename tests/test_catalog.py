@@ -207,12 +207,6 @@ class TestModelBuilders:
             for t in spec.terms:
                 assert (t.opsum * t.opsum).approx_equal(t.opsum), (model, t.kind, t.location)
 
-    def test_json_dump(self):
-        spec = build_hamiltonian("m1", Lattice("torus", 2, 2))
-        data = spec.to_json_dict()
-        assert data["model"] == "m1"
-        assert len(data["terms"]) == 8
-
 
 class TestSymmetryOperators:
     def test_global_shift_support(self):

@@ -9,15 +9,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from gtoric.catalog import build_hamiltonian
+from gtoric.lattice import Lattice
 from gtoric.linalg import (
     RowGroup,
     _echelon,
     elimination_path,
+    is_prime,
     row_echelon_mod_p,
     row_group,
     row_order,
     smith_normal_form,
 )
+from gtoric.stabilizer import StabilizerModel
 
 
 def reference_smith(mat):
@@ -396,10 +400,11 @@ COMPOSITE = (4, 6, 8, 9, 12)
 
 
 @st.composite
-def composite_inputs(draw, max_rows=12, max_cols=30):
-    """Signed matrices over composite n with zero, duplicate and scaled rows;
-    a row scaled by a divisor of n generates a summand smaller than Z_n."""
-    n = draw(st.sampled_from(COMPOSITE))
+def composite_inputs(draw, max_rows=12, max_cols=30, moduli=COMPOSITE):
+    """Signed matrices over n, by default composite, with zero, duplicate
+    and scaled rows; a row scaled by a divisor of n generates a summand
+    smaller than Z_n, and a prime n has no such divisor."""
+    n = draw(st.sampled_from(moduli))
     rows, cols = draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols))
     mat = draw(arrays(np.int64, (rows, cols), elements=st.integers(-2 * n, 2 * n)))
     divisors = [a for a in range(2, n) if n % a == 0]
@@ -409,7 +414,7 @@ def composite_inputs(draw, max_rows=12, max_cols=30):
             mat[i] = 0
         elif kind == "duplicate" and i:
             mat[i] = mat[draw(st.integers(0, i - 1))]
-        elif kind == "scaled":
+        elif kind == "scaled" and divisors:
             mat[i] *= draw(st.sampled_from(divisors))
     return n, mat
 
@@ -612,3 +617,66 @@ class TestPackedRingKernel:
         factors, in_span = row_order(mat, q, column)
         assert factors == group.factors
         assert in_span == (not (group.relations @ column % q).any())
+
+
+def reference_dense_contains(mat, n):
+    """Membership by the dense products ``row_group`` formed before it held
+    sparse ones: ``vec - vec[pivots] @ ech[:r]`` over the reduced echelon
+    rows for prime n, and ``vec % n @ v_kept % g_kept`` over the columns of
+    the Smith v whose g is not 1 for composite n."""
+    mat = np.asarray(mat, dtype=np.int64)
+    rows, cols = mat.shape
+    if is_prime(n):
+        ech, pivots, _ = row_echelon_mod_p(mat, n)
+        basis = ech[: len(pivots)]
+
+        def contains(vec):
+            vec = np.asarray(vec, dtype=np.int64) % n
+            return not np.any((vec - vec[pivots] @ basis) % n)
+
+        return contains
+    d, _, v = smith_normal_form(mat, n)
+    g_cols = np.array(d + [n] * (max(rows, cols) - len(d)), dtype=np.int64)[:cols]
+    v_kept, g_kept = v[:, g_cols != 1], g_cols[g_cols != 1]
+
+    def contains(vec):
+        return not np.any((np.asarray(vec, dtype=np.int64) % n @ v_kept) % g_kept)
+
+    return contains
+
+
+class TestSparseMembership:
+    """``row_group``'s sparse membership test against the dense products it
+    replaced, on members and on members plus one unit entry."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(composite_inputs(moduli=(2, 3, 4, 5, 6, 8, 9)), st.integers(0, 2**32 - 1))
+    def test_against_dense_reference(self, data, seed):
+        n, mat = data
+        rows, cols = mat.shape
+        group, want = row_group(mat, n), reference_dense_contains(mat, n)
+        rng = np.random.default_rng(seed)
+        members = rng.integers(0, n, (8, rows)) @ mat % n
+        for vec in members:
+            # entries outside [0, n) are reduced first
+            signed = vec + n * rng.integers(-2, 3, cols)
+            assert group.contains(vec) and want(vec) and group.contains(signed)
+            if cols:
+                shifted = vec.copy()
+                shifted[rng.integers(cols)] += 1
+                assert group.contains(shifted) == want(shifted)
+
+    @pytest.mark.parametrize("model", ["m1", "mhoriz", "zn:4"])
+    def test_catalog_blocks_against_dense_reference(self, model):
+        """Each CSS block of a torus:16x16 model, on generator products, and
+        on products plus one unit entry, which are mostly outside the group."""
+        sm = StabilizerModel.from_hamiltonian(build_hamiltonian(model, Lattice("torus", 16, 16)))
+        n = sm.n
+        rng = np.random.default_rng(16)
+        for b in sm._blocks.blocks:
+            group, want = row_group(b.mat, n), reference_dense_contains(b.mat, n)
+            coeffs = rng.integers(0, n, (6, len(b.gens))) * (rng.random((6, len(b.gens))) < 0.1)
+            for vec in coeffs @ b.mat % n:
+                assert group.contains(vec) and want(vec)
+                vec[rng.integers(len(vec))] += 1
+                assert group.contains(vec) == want(vec)

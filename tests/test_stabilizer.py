@@ -895,6 +895,62 @@ class TestStringOperators:
             PathSpec([((0, 0), "I"), ((0, 0), "I")]).validate()
 
 
+def loop_exponents(lat, model, at):
+    """X exponents of a non-contractible loop that commutes with every term:
+    the W-site column at x = at, or for mhoriz the S-site row at y = at."""
+    vec = np.zeros(lat.n_sites, dtype=np.int64)
+    if model == "mhoriz":
+        vec[[lat.site_index(lat.site(x, at, "S")) for x in range(lat.m)]] = 1
+    else:
+        vec[[lat.site_index(lat.site(at, y, "W")) for y in range(lat.n)]] = 1
+    return vec
+
+
+@pytest.fixture(scope="module", params=["m1", "mhoriz", "zn:4"])
+def model_16(request):
+    return model_for(request.param, m=16, n=16)
+
+
+class TestMembershipReads:
+    """``is_logical`` and ``logically_equivalent`` on torus:16x16 for the
+    three classes of string the query benchmark builds: a product of about
+    a tenth of the generators, that product times a loop, and that product
+    times a lone Z^e, which the vertex X term on its site detects."""
+
+    def product(self, sm, rng):
+        n = sm.n
+        coeffs = rng.integers(0, n, len(sm.table)) * (rng.random(len(sm.table)) < 0.1)
+        xz = coeffs @ sm.exponent_table % n
+        return xz[: sm.nsites], xz[sm.nsites :]
+
+    def test_classes(self, model_16):
+        sm, n = model_16, model_16.n
+        rng = np.random.default_rng(23)
+        for trial in range(4):
+            x, z = self.product(sm, rng)
+            loop = loop_exponents(sm.lattice, sm.model, trial)
+            lone = np.zeros_like(z)
+            lone[rng.integers(sm.nsites)] = rng.integers(1, n)
+            assert is_logical(sm, PauliString(n, x, z)) == "stabilizer"
+            for e in range(1, n):
+                assert is_logical(sm, PauliString(n, (x + e * loop) % n, z)) == "logical"
+            assert is_logical(sm, PauliString(n, x, (z + lone) % n)) == "detectable"
+            assert is_logical(sm, PauliString(n, (x + loop) % n, (z + lone) % n)) == "detectable"
+
+    def test_equivalence(self, model_16):
+        sm, n = model_16, model_16.n
+        rng = np.random.default_rng(42)
+        lat = sm.lattice
+        for trial in range(4):
+            (px, pz), (qx, qz) = self.product(sm, rng), self.product(sm, rng)
+            loop, other = (loop_exponents(lat, sm.model, at) for at in (trial, trial + 1))
+            p = PauliString(n, (px + loop) % n, pz)
+            assert logically_equivalent(sm, p, PauliString(n, (qx + loop) % n, qz))
+            assert not logically_equivalent(sm, p, PauliString(n, qx, qz))
+            assert not logically_equivalent(sm, p, PauliString(n, (qx + other) % n, qz))
+            assert logically_equivalent(sm, PauliString(n, px, pz), PauliString(n, qx, qz))
+
+
 class TestConfinement:
     def test_m1_profiles(self):
         sm = model_for("m1", m=5, n=5)
