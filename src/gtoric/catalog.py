@@ -12,7 +12,7 @@ a pure X or Z string given by site offsets and exponents.
 ``build_hamiltonian`` writes a factor for all vertices or all faces at once
 by indexing the lattice's site-index array.  A model's generators are
 stored once, as one ``PauliTable`` and one target each; the terms, their
-strings read-only views of the table's rows, are built on first read.  The
+strings scattered from the table's entries, are built on first read.  The
 per-site helpers below (``vertex_corner_string``, ``face_corner_string``,
 the projector families, ``global_shift_symmetry``) build single strings for
 the symbolic checks, each through ``paulis.lattice_string``.
@@ -300,7 +300,7 @@ class HamiltonianSpec:
 
     @cached_property
     def terms(self):
-        """The terms, built on first read; their strings are views of the table's rows."""
+        """The terms, built on first read; their strings are scattered from the table's entries."""
         factors = iter(zip(self.table.strings(), self.targets.tolist()))
         return tuple(Term(kind, loc, list(islice(factors, k))) for kind, loc, k in self.layout)
 

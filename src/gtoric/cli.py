@@ -68,11 +68,18 @@ def _budget_is_usage(command):
 
 
 def _emit(data, fmt):
-    if fmt == "json":
-        click.echo(json.dumps(data, indent=2, default=str))
-    else:
-        for key, value in data.items():
-            click.echo(f"{key}: {value}")
+    # an exact count can have more decimal digits than Python converts by
+    # default: m1 on torus:128x128 has gsd 2^16385, 4,933 digits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            click.echo(json.dumps(data, indent=2, default=str))
+        else:
+            for key, value in data.items():
+                click.echo(f"{key}: {value}")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _sorted_counts(spec):
@@ -241,8 +248,8 @@ def excite(model, lattice_spec, op_text, seed_text, fmt):
         "energy": syn.energy,
         "violated": [f"{kind} {loc}" for kind, loc in sorted(syn.violated, key=str)],
     }
-    if syn.energy == 0:
-        data["classification"] = stabilizer.is_logical(sm, err)
+    if syn.energy == 0:  # every generator is a term's factor, so no flip is nonzero
+        data["classification"] = "stabilizer" if stabilizer.in_stabilizer_group(sm, err) else "logical"
     if seed_text is not None:
         try:
             digits = oracle.parse_seed_config(seed_text, spec.lattice, spec.n)

@@ -37,6 +37,11 @@ the kernels a modulus uses.  ``row_echelon_mod_p`` and ``smith_normal_form``
 keep their names and stay module globals, called through the module,
 because ``perfbench``'s tracer wraps them by name to count and time each
 decomposition; ``row_order`` is not among the names it wraps.
+
+Each public function takes its matrix dense or as ``Entries``, the nonzero
+entries in which a ``PauliTable`` stores a model's generators; ``_entries``
+alone turns the one form into the other, and the kernels set their packed
+bits or fields from the entries, so a large table is never made dense.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from math import gcd, prod
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -72,6 +77,27 @@ def is_prime(n):
     return _prime_powers(n) == ((n, 1),)
 
 
+class Entries(NamedTuple):
+    """A ``shape`` matrix as its nonzero entries, ``mat[row[i], col[i]] ==
+    value[i]`` and 0 elsewhere: int64 arrays ordered by row, naming no
+    ``(row, col)`` twice.  The values need not be reduced."""
+
+    shape: tuple
+    row: np.ndarray
+    col: np.ndarray
+    value: np.ndarray
+
+
+def _entries(mat):
+    """mat as ``Entries``: itself when it is, and otherwise the nonzero
+    entries of a dense 2-D array, in row-major order."""
+    if isinstance(mat, Entries):
+        return mat
+    mat = np.asarray(mat, dtype=np.int64)
+    row, col = np.nonzero(mat)
+    return Entries(mat.shape, row, col, mat[row, col])
+
+
 # -- prime fields -------------------------------------------------------------
 
 
@@ -95,7 +121,7 @@ def row_echelon_mod_p(mat, p):
     """
     if not is_prime(p):
         raise ValueError(f"row_echelon_mod_p needs a prime modulus, got {p}")
-    ech, pivots, _, t = _echelon(np.asarray(mat, dtype=np.int64), p, 1)
+    ech, pivots, _, t = _echelon(mat, p, 1)
     return ech, pivots, t
 
 
@@ -108,6 +134,7 @@ def _echelon(mat, p, k, column=None):
     field.  Given a column, the forward pass alone eliminates ``[mat |
     column]`` with no transform and returns ``(pivots, levels)``; the
     appended column, index ``cols``, is the last at every level."""
+    mat = _entries(mat)
     if p**k == 2:
         return _echelon_gf2(mat, column)
     return _echelon_packed(mat, p, k, column)
@@ -133,20 +160,20 @@ def _echelon_gf2(mat, column=None):
     Row i of ``[mat | I]`` becomes one int: column c of mat is bit
     ``top - 1 - c`` and transform column j is bit ``tw - 1 - j``, both parts
     padded to whole bytes, so a row's leading column is read off its
-    ``bit_length``.  Each row in turn is XORed with the stored row whose
-    pivot is its leading column until it leads with a new pivot (and is
-    stored) or its mat part is zero (and its transform bits are a relation).
-    Back-substitution in decreasing pivot order then clears every pivot
-    column outside its own row, giving the unique reduced echelon form.  The
-    transform is lower unitriangular in row order before back-substitution,
-    so T stays invertible.
+    ``bit_length``; the mat parts are set from the entries' parities into
+    one ``(rows, bytes)`` array.  Each row in turn is XORed with the stored
+    row whose pivot is its leading column until it leads with a new pivot
+    (and is stored) or its mat part is zero (and its transform bits are a
+    relation).  Back-substitution in decreasing pivot order then clears
+    every pivot column outside its own row, giving the unique reduced
+    echelon form.  The transform is lower unitriangular in row order before
+    back-substitution, so T stays invertible.
 
     Given a column, the rows are those of ``[mat | column]``, packed with no
     transform part, and only the pivot columns of the forward pass are
     returned, sorted, with their levels: the pivots are those of the reduced
     form, and ``cols`` among them is a pivot on the appended column.
     """
-    mat = np.ascontiguousarray(mat, dtype="<i8")
     rows, cols = mat.shape
     width = cols if column is None else cols + 1
     mb = -(-width // 8)  # packed bytes of the mat part
@@ -154,12 +181,11 @@ def _echelon_gf2(mat, column=None):
     top = tw + 8 * mb
     stored = {}  # pivot column -> row
     relations = []
-    # the first byte of a little-endian int64 holds its parity
-    bits = np.empty((rows, width), dtype=np.uint8)
-    np.bitwise_and(mat.view(np.uint8)[:, ::8], 1, out=bits[:, :cols])
+    packed = np.zeros((rows, mb), dtype=np.uint8)  # column c is bit 7 - c % 8 of byte c // 8
+    np.bitwise_or.at(packed, (mat.row, mat.col // 8), ((mat.value & 1) << 7 - mat.col % 8).astype(np.uint8))
     if column is not None:
-        bits[:, cols] = column & 1
-    packed = np.packbits(bits, axis=1).tobytes()
+        packed[:, cols // 8] |= ((column & 1) << 7 - cols % 8).astype(np.uint8)
+    packed = packed.tobytes()
     for i in range(rows):
         x = int.from_bytes(packed[i * mb : (i + 1) * mb], "big")
         if tw:
@@ -281,11 +307,11 @@ def _echelon_packed(mat, p, k, column=None):
             x = add(x, multiple(c, -((other >> (top - w * (c + 1))) // unit) % span))
         return x
 
-    entries = np.empty((rows, width), dtype=f">u{size}")
-    entries[:, :cols] = mat % q
+    grid = np.zeros((rows, width), dtype=f">u{size}")
+    grid[mat.row, mat.col] = mat.value % q
     if column is not None:
-        entries[:, cols] = column % q
-    packed = entries.tobytes()
+        grid[:, cols] = column % q
+    packed = grid.tobytes()
     row_bytes = width * size
     pending = []
     for i in range(rows):
@@ -365,7 +391,7 @@ def smith_normal_form(mat, n):
     """
     if n < 2:
         raise ValueError(f"Z_n needs a modulus n >= 2, got {n}")
-    mat = np.asarray(mat, dtype=np.int64)
+    mat = _entries(mat)
     rows, cols = mat.shape
     size = min(rows, cols)
     parts = []
@@ -483,7 +509,7 @@ def row_group(mat, n):
     exact in int64, since every entry and vec's residues are below n and a
     product-sum has at most ``cols`` terms, within the ``4 L n^2 < 2^63``
     bound, and neither keeps a dense basis or v."""
-    mat = np.asarray(mat, dtype=np.int64)
+    mat = _entries(mat)
     rows, cols = mat.shape
     if is_prime(n):
         ech, pivots, t = row_echelon_mod_p(mat, n)
@@ -542,7 +568,7 @@ def row_order(mat, n, column):
     """
     if n < 2:
         raise ValueError(f"Z_n needs a modulus n >= 2, got {n}")
-    mat = np.ascontiguousarray(mat, dtype="<i8")
+    mat = _entries(mat)
     column = np.asarray(column, dtype=np.int64)
     cols = mat.shape[1]
     orders, in_span = [], True

@@ -28,6 +28,7 @@ import re
 import numpy as np
 import scipy.sparse as sp
 
+from . import linalg
 from .oracle import _check_budget, _check_nonzeros
 
 
@@ -49,17 +50,6 @@ class PauliString:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "phase", int(phase) % (2 * n))
-
-    @classmethod
-    def _view(cls, n, x, z, phase):
-        """A string on read-only exponent vectors already reduced mod n, such
-        as rows of a ``PauliTable``, kept without a copy."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "n", n)
-        object.__setattr__(out, "x", x)
-        object.__setattr__(out, "z", z)
-        object.__setattr__(out, "phase", phase)
-        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("PauliString is immutable")
@@ -161,23 +151,21 @@ def order_divides_n(s):
 
 
 class PauliTable:
-    """Generator strings over Z_n as the rows of one exponent table.
+    """Generator strings over Z_n as one exponent table, stored as its
+    nonzero entries.
 
-    ``x`` holds a row of X exponents for each generator that is not pure Z
-    (an identity counts as pure X), and ``z`` a row of Z exponents for each
-    generator with a Z part; each array ends in one zero row, at which
-    ``x_row`` and ``z_row`` (one entry per generator, -1 for none) point for
-    a missing part.  Rows follow generator order, entries are reduced mod n,
-    ``phase`` mod 2n, and every array is read-only.  A CSS table, where no
-    generator has both parts, stores each generator once: its X block is
-    ``x[:-1]`` and its Z block ``z[:-1]``.  ``strings()`` gives each
-    generator as a PauliString whose vectors are views of these rows.
+    ``x`` holds the X exponents of each generator that is not pure Z (an
+    identity counts as pure X), and ``z`` the Z exponents of each generator
+    with a Z part, each part as one ``linalg.Entries`` with a row per such
+    generator; ``x_gens`` and ``z_gens`` name the generator of each row.
+    Entries are reduced mod n and in row-major order, ``phase`` is mod 2n,
+    and every array is read-only.  A CSS table, where no generator has both
+    parts, stores each generator once: its X block is ``x`` and its Z block
+    ``z``.  ``strings()`` builds the generators' strings on each call.
 
     The table is written from placements: per part a triple of equal-length
     arrays (generator, site, exponent), naming each site of a generator at
-    most once.  The nonzero entries are also kept as ``(gens, row, site,
-    exponent)``, ``gens`` naming the generator of each row, so the sparse
-    forms are built from them and never scan the dense rows.
+    most once.
     """
 
     def __init__(self, n, nsites, count, xs, zs, phase=None):
@@ -188,24 +176,21 @@ class PauliTable:
         parts = []
         for (gen, site, exp), keep in ((xs, has_x | ~has_z), (zs, has_z)):
             gens = np.flatnonzero(keep)
-            row = np.full(count, -1, dtype=np.int64)
-            row[gens] = np.arange(len(gens))
+            row = np.cumsum(keep) - 1  # the part row of each generator that has one
             value = exp % n
             nonzero = value != 0
             r, c, value = row[gen[nonzero]], site[nonzero], value[nonzero]
-            rows = np.zeros((len(gens) + 1, nsites), dtype=np.int64)
-            rows[r, c] = value
-            parts.append((rows, row, (gens, r, c, value)))
-        (self.x, self.x_row, x_nz), (self.z, self.z_row, z_nz) = parts
-        self._nonzero = (x_nz, z_nz)
+            order = np.argsort(r * nsites + c, kind="stable")
+            parts += [gens, linalg.Entries((len(gens), nsites), r[order], c[order], value[order])]
+        self.x_gens, self.x, self.z_gens, self.z = parts
         phase = np.zeros(count, dtype=np.int64) if phase is None else np.asarray(phase, dtype=np.int64)
         self.phase = phase % (2 * n)
-        for a in (self.x, self.z, self.x_row, self.z_row, self.phase):
+        for a in (self.x_gens, self.z_gens, *self.x[1:], *self.z[1:], self.phase):
             a.setflags(write=False)
 
     @classmethod
     def from_strings(cls, n, nsites, strings):
-        """Table of the given strings, their rows stacked once."""
+        """Table of the given strings, their nonzero exponents placed once."""
         placements = []
         for part in ([s.x for s in strings], [s.z for s in strings]):
             rows = np.array(part, dtype=np.int64).reshape(len(strings), nsites)
@@ -218,34 +203,21 @@ class PauliTable:
 
     @property
     def css(self):
-        """Whether every generator is pure X or pure Z."""
-        return not ((self.x_row >= 0) & (self.z_row >= 0)).any()
+        """Whether every generator is pure X or pure Z: none has rows in both parts."""
+        return len(self.x_gens) + len(self.z_gens) == len(self)
 
     def strings(self):
-        """Each generator as a PauliString on views of its rows."""
-        return [
-            PauliString._view(self.n, self.x[i], self.z[j], p)
-            for i, j, p in zip(self.x_row.tolist(), self.z_row.tolist(), self.phase.tolist())
-        ]
-
-    @functools.cached_property
-    def sparse(self):
-        """The rows of ``x`` and of ``z`` but their zero row, as CSR
-        matrices, each with the generators its rows belong to:
-        ``((x_gens, x_rows), (z_gens, z_rows))``."""
-        out = []
-        for gens, r, c, value in self._nonzero:
-            order = np.argsort(r, kind="stable")
-            indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=len(gens)))))
-            rows = sp.csr_matrix((value[order], c[order], indptr), shape=(len(gens), self.nsites))
-            out.append((gens, rows))
-        return tuple(out)
+        """Each generator as a PauliString, scattered from the entries on each call."""
+        xz = np.zeros((2, len(self), self.nsites), dtype=np.int64)
+        for rows, (gen, site, exp) in zip(xz, self.part_entries):
+            rows[gen, site] = exp
+        return [PauliString(self.n, x, z, p) for x, z, p in zip(xz[0], xz[1], self.phase.tolist())]
 
     @functools.cached_property
     def part_entries(self):
         """The nonzero exponents of ``x`` and of ``z``, each part as
         (generator, site, exponent) arrays: ``(x_entries, z_entries)``."""
-        return tuple((gens[r], c, value) for gens, r, c, value in self._nonzero)
+        return tuple((gens[e.row], e.col, e.value) for gens, e in ((self.x_gens, self.x), (self.z_gens, self.z)))
 
     def entries(self):
         """The nonzero exponents as (generator, column of ``[x|z]``,
@@ -256,12 +228,13 @@ class PauliTable:
         return gen[order], np.concatenate((xc, zc + self.nsites))[order], np.concatenate((xv, zv))[order]
 
     def order_divides_n(self):
-        """Per generator, :func:`order_divides_n` of its string: ``phase +
-        (n-1) x.z`` is even, where only a generator with both parts has
-        ``x.z`` nonzero."""
-        both = np.flatnonzero((self.x_row >= 0) & (self.z_row >= 0))
+        """Per generator, :func:`order_divides_n` of its string, with ``x.z``
+        summed over the sites where its x and z entries meet."""
+        (xg, xs, xv), (zg, zs, zv) = self.part_entries
+        keys = (xg * self.nsites + xs, zg * self.nsites + zs)  # (generator, site), unique within a part
+        _, i, j = np.intersect1d(*keys, assume_unique=True, return_indices=True)
         xz = np.zeros(len(self), dtype=np.int64)
-        xz[both] = np.einsum("ij,ij->i", self.x[self.x_row[both]], self.z[self.z_row[both]])
+        np.add.at(xz, xg[i], xv[i] * zv[j])
         return (self.phase + (self.n - 1) % 2 * (xz % 2)) % 2 == 0
 
 

@@ -3,22 +3,22 @@ consistency, logical operators, syndromes, and string/loop constructions.
 
 A stabilizer model is a set of commuting Pauli-string generators, each of
 order dividing n, with target eigenvalue exponents, stored once as one
-``paulis.PauliTable`` of exponents and phases and one array of targets.
-Every catalog model is CSS, each generator pure X or pure Z, and the
-analysis then works on two blocks, the X rows on the x columns and the Z
-rows on the z columns: the generated group is the direct product of theirs,
-and its relations are theirs.  Any other table is one block.  Each model
-checks ``X Z^T - Z X^T == 0 (mod n)`` once, by joining the table's x and z
-entries on site, with no matrix built.  The ground space has dimension
-``n^sites / |group|`` when every relation among the generators multiplies
-out to the phase the targets demand, and zero (a frustrated model)
-otherwise.  In a pure block that demand is linear, ``sum r_i c_i = 0 (mod
-2n)`` with c_i = p_i - 2 t_i, so it holds exactly when c/2 lies in the span
-of the block's columns, i.e. when appending c/2 leaves the block's order
-unchanged.  A count therefore needs each block's order and that verdict
-only, and a CSS model reads both from one transform-free elimination of
-``[block | c/2]`` (``linalg.row_order``), forming no relation.  The
-relations are built when something asks for them: membership
+``paulis.PauliTable`` of nonzero exponents and phases and one array of
+targets.  Every catalog model is CSS, each generator pure X or pure Z, and
+the analysis then works on two blocks, the table's X part and its Z part,
+whose ``linalg.Entries`` every kernel reads as they are: the generated
+group is the direct product of theirs.  Any other table is one block.  Each
+model checks ``X Z^T - Z X^T == 0 (mod n)`` once, by joining the table's x
+and z entries on site, with no matrix built.  The ground space has
+dimension ``n^sites / |group|`` when every relation among the generators
+multiplies out to the phase the targets demand, and zero (a frustrated
+model) otherwise.  In a pure block that demand is linear, ``sum r_i c_i = 0
+(mod 2n)`` with c_i = p_i - 2 t_i, so it holds exactly when c/2 lies in the
+span of the block's columns, i.e. when appending c/2 leaves the block's
+order unchanged.  A count therefore needs each block's order and that
+verdict only, and a CSS model reads both from one transform-free
+elimination of ``[block | c/2]`` (``linalg.row_order``), forming no
+relation.  The relations are built when something asks for them: membership
 (``is_logical``, ``logically_equivalent``, ``in_stabilizer_group``),
 ``analysis()``, a table that is not CSS, whose phase is quadratic, and
 ``with_flipped_target``.  Then each block is decomposed once
@@ -28,12 +28,11 @@ prime-power part joined by the CRT) into its group order, the relations
 among its generators and a membership test, shared with target-flipped
 copies, and from then on each consistency verdict is one product with the
 relations and each membership read one sparse product, with the echelon
-rows for prime n and with the Smith v's tested columns for composite n.
-The route is chosen by whether the relations exist.  Each count logs its
-blocks, the kernel that eliminated them
-(``linalg.elimination_path``), the route of each block's consistency
-verdict and the seconds of each stage as one DEBUG record on the
-``gtoric.stabilizer`` logger, silent by default.
+rows for prime n and with the Smith v's tested columns for composite n.  The
+route is chosen by whether the relations exist.  Each count logs its
+blocks, the kernel that eliminated them (``linalg.elimination_path``), the
+route of each block's consistency verdict and the seconds of each stage as
+one DEBUG record on the ``gtoric.stabilizer`` logger, silent by default.
 Syndromes, classification and the logical basis read one sparse ``[X|Z]``
 table, written from the table's nonzero entries on first use; an error's
 eigenvalue shifts are one product ``(Z x_e - X z_e) mod n``.  All of it is
@@ -81,13 +80,13 @@ class InvalidPathError(ValueError):
 @dataclass(frozen=True)
 class Block:
     """One CSS block of a model's table: the generators ``gens`` and their
-    exponents ``mat`` on the columns ``cols`` of ``[x|z]``, a view of the
-    table's rows in a CSS table."""
+    exponents ``mat`` on the columns ``cols`` of ``[x|z]``, as
+    ``linalg.Entries``: the table's own part in a CSS table."""
 
     label: str  # X, Z, or XZ for a model that is not CSS
     gens: np.ndarray
     cols: slice
-    mat: np.ndarray
+    mat: linalg.Entries
 
 
 @dataclass(frozen=True)
@@ -166,13 +165,12 @@ class StabilizerModel:
 
     @cached_property
     def generators(self):
-        """Each generator as ``(PauliString, target)``, its string a view of the table's rows."""
+        """Each generator as ``(PauliString, target)``, built from the table's entries on first read."""
         return tuple(zip(self.table.strings(), self.targets.tolist()))
 
     def exponent_matrix(self):
         """Rows are generator (x | z) exponent vectors, as one dense array."""
-        t = self.table
-        return np.hstack((t.x[t.x_row], t.z[t.z_row]))
+        return self.exponent_table.toarray()
 
     @cached_property
     def exponent_table(self):
@@ -233,13 +231,13 @@ class StabilizerModel:
         t = self.table
         if t.css:
             # a block without rows stays: its group is {0} on its columns
-            x_gens, z_gens = (np.flatnonzero(row >= 0) for row in (t.x_row, t.z_row))
             blocks = (
-                Block("X", x_gens, slice(0, self.nsites), t.x[:-1]),
-                Block("Z", z_gens, slice(self.nsites, None), t.z[:-1]),
+                Block("X", t.x_gens, slice(0, self.nsites), t.x),
+                Block("Z", t.z_gens, slice(self.nsites, None), t.z),
             )
         else:
-            blocks = (Block("XZ", np.arange(len(t)), slice(None), self.exponent_table.toarray()),)
+            whole = linalg.Entries((len(t), 2 * self.nsites), *t.entries())
+            blocks = (Block("XZ", np.arange(len(t)), slice(None), whole),)
         tabled = time.perf_counter()
         self.check_commuting()
         seconds = {"table": tabled - start, "check": time.perf_counter() - tabled}
@@ -249,19 +247,15 @@ class StabilizerModel:
     def _split(self):
         """The relation route: each block decomposed once by
         ``linalg.row_group`` into its group order, the relations among its
-        generators, which are checked against the block's sparse rows, and a
-        membership test.  The targets do not enter, so target-flipped copies
-        share it."""
-        blocks = self._blocks.blocks
+        generators, which are checked against the block's rows as CSR
+        matrices built from its entries, and a membership test.  The targets
+        do not enter, so target-flipped copies share it."""
         start = time.perf_counter()
-        if self.table.css:
-            sparse = [(rows,) for _, rows in self.table.sparse]
-        else:
-            xz = self.exponent_table
-            sparse = [(xz[:, : self.nsites], xz[:, self.nsites :])]
         groups, products = [], []
-        for b, parts in zip(blocks, sparse):
+        for b in self._blocks.blocks:
             group = linalg.row_group(b.mat, self.n)
+            rows = sp.csr_matrix((b.mat.value, (b.mat.row, b.mat.col)), shape=b.mat.shape)
+            parts = [rows] if self.table.css else [rows[:, : self.nsites], rows[:, self.nsites :]]
             _check_relations(group.relations, parts, self.n)
             xz = None
             if len(parts) == 2:

@@ -1,5 +1,6 @@
 """End-to-end tests for the ``gtoric`` command line interface."""
 
+import decimal
 import json
 import os
 import subprocess
@@ -174,6 +175,17 @@ class TestGsd:
         assert data["gsd"] == 32
         assert data["dense_trace"] == pytest.approx(32.0)
         assert data["agree"] is True
+
+    def test_count_past_the_default_int_digit_limit(self, runner):
+        # m1 torus:128x128 has gsd 2^16385, 4,933 decimal digits: more than
+        # Python converts between int and text by default
+        limit = sys.get_int_max_str_digits()
+        res = runner.invoke(main, ["gsd", "--model", "m1", "--lattice", "torus:128x128", "--format", "json"])
+        assert res.exit_code == 0, res.output
+        data = json.loads(res.output, parse_int=decimal.Decimal)
+        assert data["k"] == 16385
+        assert data["gsd"] == decimal.Context(prec=5000).power(2, 16385)
+        assert sys.get_int_max_str_digits() == limit
 
     @pytest.mark.parametrize("method", ["both", "dense"])
     def test_dense_count_is_an_exact_int(self, runner, method):

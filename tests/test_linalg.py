@@ -12,8 +12,10 @@ from hypothesis.extra.numpy import arrays
 from gtoric.catalog import build_hamiltonian
 from gtoric.lattice import Lattice
 from gtoric.linalg import (
+    Entries,
     RowGroup,
     _echelon,
+    _prime_powers,
     elimination_path,
     is_prime,
     row_echelon_mod_p,
@@ -674,9 +676,43 @@ class TestSparseMembership:
         n = sm.n
         rng = np.random.default_rng(16)
         for b in sm._blocks.blocks:
-            group, want = row_group(b.mat, n), reference_dense_contains(b.mat, n)
+            mat = np.zeros(b.mat.shape, dtype=np.int64)
+            mat[b.mat.row, b.mat.col] = b.mat.value
+            group, want = row_group(b.mat, n), reference_dense_contains(mat, n)
             coeffs = rng.integers(0, n, (6, len(b.gens))) * (rng.random((6, len(b.gens))) < 0.1)
-            for vec in coeffs @ b.mat % n:
+            for vec in coeffs @ mat % n:
                 assert group.contains(vec) and want(vec)
                 vec[rng.integers(len(vec))] += 1
                 assert group.contains(vec) == want(vec)
+
+
+class TestEntriesParity:
+    """Every public decomposition gives identical results on a dense matrix
+    and on its ``Entries``: signed and unreduced values, zero rows and
+    columns, and shapes with no rows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(composite_inputs(moduli=(2, 3, 4, 5, 6, 8, 9)), st.integers(0, 2**32 - 1))
+    @example((4, np.zeros((0, 3), dtype=np.int64)), 0)
+    @example((9, np.zeros((0, 0), dtype=np.int64)), 0)
+    @example((6, np.array([[0, -7, 13], [0, 0, 0]], dtype=np.int64)), 1)
+    def test_dense_and_entries_agree(self, data, seed):
+        n, mat = data
+        rows, cols = mat.shape
+        rng = np.random.default_rng(seed)
+        if cols and rng.random() < 0.5:
+            mat[:, rng.integers(cols)] = 0
+        row, col = np.nonzero(mat)
+        entries = Entries(mat.shape, row, col, mat[row, col])
+        for column in (np.zeros(rows, dtype=np.int64), rng.integers(-2 * n, 2 * n, rows)):
+            assert row_order(mat, n, column) == row_order(entries, n, column)
+        dense, sparse = row_group(mat, n), row_group(entries, n)
+        assert dense.factors == sparse.factors
+        assert np.array_equal(dense.relations, sparse.relations)
+        vecs = np.vstack((rng.integers(0, n, (4, rows)) @ mat, rng.integers(-n, n, (4, cols))))
+        assert [dense.contains(v) for v in vecs] == [sparse.contains(v) for v in vecs]
+        for p, _ in _prime_powers(n):
+            for a, b in zip(row_echelon_mod_p(mat, p), row_echelon_mod_p(entries, p), strict=True):
+                assert np.array_equal(a, b)
+        for a, b in zip(smith_normal_form(mat, n), smith_normal_form(entries, n), strict=True):
+            assert np.array_equal(a, b)

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -750,6 +751,21 @@ class TestOneStoredForm:
         with pytest.raises(ValueError):  # read-only
             sm.targets[0] = 1
         assert gsd(sm) == 2**10
+
+    def test_entries_only_at_scale(self):
+        """m1 torus:64x64 has 12,288 generators on 16,384 sites but 49,152
+        nonzero exponents: dense x and z rows would take 1.5 GB, while the
+        build and a count stay within a few tens of MB."""
+        lat = Lattice("torus", 64, 64)
+        tracemalloc.start()
+        try:
+            spec = build_hamiltonian("m1", lat)
+            built = tracemalloc.get_traced_memory()[1]
+            assert gsd(StabilizerModel.from_hamiltonian(spec)) == 2**4097
+            counted = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built < 32 * 2**20 and counted < 128 * 2**20
 
     def test_new_targets_match_joint(self):
         sm = model_for("m1", m=3, n=3)
