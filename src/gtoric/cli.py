@@ -131,7 +131,7 @@ def validate(model, lattice_spec, groupoid_spec, corner_checks, fmt):
         data["terms"] = _sorted_counts(spec)
         sm = _stabilizer_model(spec)
         try:
-            sm.analysis()
+            sm.check_commuting()
             data["terms_commute"] = True
         except stabilizer.InvalidModelError as exc:
             data["terms_commute"] = False

@@ -3,16 +3,14 @@ into Python ints, and the Smith form over Z_n with transform tracking, and
 the group order alone without it.
 
 ``row_group`` describes the subgroup of Z_n^cols generated by a matrix's
-rows with one decomposition, chosen once by the modulus.  For prime n one
-``row_echelon_mod_p`` gives the order from the pivots, the relations among
-the rows from the transform's last rows, and membership by reducing a vector
-against the echelon rows.  For composite n one ``smith_normal_form`` over Z_n
-gives the order and the relations from the diagonal and the left transform,
-and membership from one product with the right transform's columns whose
-invariant factor is not 1.  Either membership form is held as one sparse
-matrix, the echelon rows or those columns, so that a test costs a product
-over its nonzero entries; the echelon rows of a catalog model's block are a
-few percent nonzero.
+rows with one decomposition for every n, ``smith_normal_form`` over Z_n: the
+order and the relations among the rows come from the diagonal and the left
+transform u, and membership from one product with the right transform v,
+which is held sparse, so that a test costs a product over its nonzero
+entries.  Over a prime field the Smith form is the reduced echelon form
+itself: u is the kernel's transform, the relations are its rows below the
+pivots, and the columns of v that test membership are the echelon form's
+free columns, a few percent nonzero in a catalog model's block.
 
 ``row_order`` answers what a count needs, the group's invariant factors and
 whether a column lies in the span of the matrix's columns, from one
@@ -30,12 +28,14 @@ valuation, a unit times p^v, as Hostens, Dehaene and De Moor (2005) do for
 Z_n; over a prime field that is one level, and both kernels return the
 unique reduced echelon form.  The Smith form splits Z_n by the Chinese
 remainder theorem into its Z_{p^k} parts, finishes each part's echelon form
-with column operations, and joins the parts' transforms with the CRT
-idempotents.  No entry or product-sum leaves int64 within the
-``StabilizerModel`` bound ``4 L n^2 < 2^63``.  ``elimination_path`` names
-the kernels a modulus uses.  ``row_echelon_mod_p`` and ``smith_normal_form``
-keep their names and stay module globals, called through the module,
-because ``perfbench``'s tracer wraps them by name to count and time each
+with column operations, a sparse v written from the echelon rows' nonzero
+entries, and joins the parts' transforms with the CRT idempotents.  No
+entry or product-sum leaves int64 within the ``StabilizerModel`` bound ``4 L
+n^2 < 2^63``.  ``elimination_path`` names the kernels a modulus uses.
+``row_echelon_mod_p`` is the prime-field kernel's echelon form on its own,
+the reference the tests read.  It and ``smith_normal_form`` keep their
+names and stay module globals, called through the module, because
+``perfbench``'s tracer wraps them by name to count and time each
 decomposition; ``row_order`` is not among the names it wraps.
 
 Each public function takes its matrix dense or as ``Entries``, the nonzero
@@ -47,6 +47,7 @@ bits or fields from the entries, so a large table is never made dense.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from math import gcd, prod
 from typing import Callable, NamedTuple
@@ -117,7 +118,8 @@ def row_echelon_mod_p(mat, p):
     for odd p (``_echelon_packed``).  Both results are C-contiguous int64
     arrays.  A p that is not prime raises ``ValueError``.  Like
     ``smith_normal_form``, the function keeps its name and one entry point
-    for every prime, since the benchmark's tracer wraps it by name.
+    for every prime, since the benchmark's tracer wraps it by name;
+    ``row_group`` reads the same kernel through ``smith_normal_form``.
     """
     if not is_prime(p):
         raise ValueError(f"row_echelon_mod_p needs a prime modulus, got {p}")
@@ -145,13 +147,26 @@ def elimination_path(n, relations):
     prime-power part q = p^k of n, ``GF(2) bitset`` for q = 2, ``GF(p)
     packed`` for another prime and ``Z_q packed`` for k >= 2, joined by
     `` + ``, as ``row_order`` runs them.  With relations, as ``row_group``
-    forms them, a composite n is one Smith form over its parts, e.g. ``CRT
-    Smith form: Z_4 packed + GF(3) packed``."""
+    forms them, a composite n names the CRT join of its parts' Smith forms,
+    e.g. ``CRT Smith form: Z_4 packed + GF(3) packed``; a prime n's Smith
+    form is its kernel's echelon form, named alone."""
     parts = " + ".join(
         "GF(2) bitset" if p**k == 2 else f"GF({p}) packed" if k == 1 else f"Z_{p**k} packed"
         for p, k in _prime_powers(n)
     )
     return "CRT Smith form: " + parts if relations and not is_prime(n) else parts
+
+
+def _row_ints(arr):
+    """Each row of a C-contiguous 2-D array as one big-endian int, its bytes
+    copied 64 KB of rows at a time, so that a large array is never copied
+    whole; a smaller one is one block."""
+    width = arr.shape[1] * arr.itemsize
+    step = max(1, (1 << 16) // max(width, 1))
+    blocks = ((arr[s : s + step].tobytes(), min(step, len(arr) - s)) for s in range(0, len(arr), step))
+    return itertools.chain.from_iterable(
+        [int.from_bytes(data[i * width : (i + 1) * width], "big") for i in range(count)] for data, count in blocks
+    )
 
 
 def _echelon_gf2(mat, column=None):
@@ -185,9 +200,7 @@ def _echelon_gf2(mat, column=None):
     np.bitwise_or.at(packed, (mat.row, mat.col // 8), ((mat.value & 1) << 7 - mat.col % 8).astype(np.uint8))
     if column is not None:
         packed[:, cols // 8] |= ((column & 1) << 7 - cols % 8).astype(np.uint8)
-    packed = packed.tobytes()
-    for i in range(rows):
-        x = int.from_bytes(packed[i * mb : (i + 1) * mb], "big")
+    for i, x in enumerate(_row_ints(packed)):
         if tw:
             x = x << tw | 1 << (tw - 1 - i)
         while x.bit_length() > tw:
@@ -311,12 +324,7 @@ def _echelon_packed(mat, p, k, column=None):
     grid[mat.row, mat.col] = mat.value % q
     if column is not None:
         grid[:, cols] = column % q
-    packed = grid.tobytes()
-    row_bytes = width * size
-    pending = []
-    for i in range(rows):
-        x = int.from_bytes(packed[i * row_bytes : (i + 1) * row_bytes], "big")
-        pending.append(x << tw | 1 << (w * (rows - 1 - i)) if tw else x)
+    pending = [x << tw | 1 << (w * (rows - 1 - i)) if tw else x for i, x in enumerate(_row_ints(grid))]
     pivots, levels, ordered, relations = [], [], [], []
     for v in range(k):
         unit, step, span, last = p**v, p ** (v + 1), p ** (k - v), v == k - 1
@@ -377,13 +385,16 @@ def smith_normal_form(mat, n):
     """Smith form of mat over Z_n: returns (d, u, v) with
     ``u @ mat @ v == diag(d) (mod n)``.
 
-    u and v are int64 arrays with entries in [0, n), invertible mod n; d has
-    ``min(rows, cols)`` entries, each a divisor of n (n itself for a zero),
-    with d[i] dividing d[i + 1].  Each part Z_q, q = p^k exactly dividing n,
-    is one elimination of ``mat mod q`` by its packed kernel (``_echelon``),
-    whose pivot of level v contributes p^v to its d[i]; levels rise down the
-    rows, so the divisibility chain holds in every part, and
-    ``_column_transform`` finishes the part's echelon form.  The parts'
+    u is a dense int64 array and v a sparse int64 CSR matrix, both with
+    entries in [0, n) and invertible mod n; d is a list of ``min(rows,
+    cols)`` ints, each a divisor of n (n itself for a zero), with d[i]
+    dividing d[i + 1].  Each part Z_q, q = p^k exactly dividing n, is one
+    elimination of ``mat mod q`` by its packed kernel (``_echelon``), whose
+    pivot of level v contributes p^v to its d[i]; levels rise down the rows,
+    so the divisibility chain holds in every part, and ``_column_transform``
+    finishes the part's echelon form.  Over a prime field d is r ones and
+    then n, u is the kernel's T and v's columns after the first r are the
+    free columns ``e_f - sum_i ech[i, f] e_{pivot_i}``.  The parts'
     transforms, their rows scaled by units mod q so that each part gives the
     same d, are joined with the CRT idempotents e_q (1 mod q, 0 mod n / q):
     ``u = sum e_q u_q`` and ``v = sum e_q v_q``; a prime power n is its own
@@ -392,40 +403,40 @@ def smith_normal_form(mat, n):
     if n < 2:
         raise ValueError(f"Z_n needs a modulus n >= 2, got {n}")
     mat = _entries(mat)
-    rows, cols = mat.shape
-    size = min(rows, cols)
-    parts = []
+    size = min(mat.shape)
+    d, parts = np.ones(size, dtype=np.int64), []
     for p, k in _prime_powers(n):
         ech, pivots, levels, t = _echelon(mat, p, k)
-        v = _column_transform(ech, pivots, levels, p, p**k)
-        parts.append((p, k, levels + [k] * (size - len(pivots)), t, v))
-    d = [prod(p**level[i] for p, _, level, _, _ in parts) for i in range(size)]
+        level = np.full(size, k, dtype=np.int64)
+        level[: len(pivots)] = levels
+        d *= p**level
+        parts.append((p, p**k, level, t, _column_transform(ech, pivots, levels, p, p**k)))
     if len(parts) == 1:  # n = q: the part's transforms are u and v, already reduced mod n
         _, _, _, u, v = parts[0]
-        return d, u, v
-    for p, k, level, u_q, v_q in parts:
-        q = p**k
+        return d.tolist(), u, v
+    for p, q, level, u_q, v_q in parts:
         e = n // q * pow(n // q, -1, q)
-        unit = [d[i] // p ** level[i] % q for i in range(size)] + [1] * (rows - size)
-        u_q *= np.array(unit, dtype=np.int64)[:, None]
+        u_q[:size] *= (d // p**level % q)[:, None]
         u_q %= q
-        for part in (u_q, v_q):
-            part *= e
-            part %= n
-    # the sums build up in the first part's arrays, so no third copy is made
-    _, _, _, u, v = parts[0]
+        u_q *= e
+        u_q %= n
+        v_q.data *= e
+    # the sums build up in the first part's arrays, so no third copy of u is made
+    u, v = parts[0][3], parts[0][4]
     for _, _, _, u_q, v_q in parts[1:]:
         u += u_q
-        v += v_q
+        v = v + v_q
     u %= n
-    v %= n
-    return d, u, v
+    v.data %= n
+    v.eliminate_zeros()
+    return d.tolist(), u, v
 
 
 def _column_transform(ech, pivots, levels, p, q):
     """The column operations that finish an echelon form over Z_q, q = p^k:
-    returns v, invertible mod q, with ``ech @ v == diag(p^levels)`` (mod q)
-    in the first ``len(pivots)`` columns and zero elsewhere.
+    returns v, a sparse CSR matrix invertible mod q, with ``ech @ v ==
+    diag(p^levels)`` (mod q) in the first ``len(pivots)`` columns and zero
+    elsewhere.
 
     Pivot row i of ech is ``p^levels[i] (e_c + b_i)`` for its pivot column c,
     where b_i vanishes on c and on the earlier pivot columns, and on the
@@ -435,31 +446,43 @@ def _column_transform(ech, pivots, levels, p, q):
     columns moved first.  Only the pivot-column block C of the b_i couples
     them: ``(I + N)^{-1} = I - S^T (I + C)^{-1} B`` for B the rows b_i, S the
     pivot selection, and ``(I + C) X = B`` is solved by back-substitution
-    over the rows of C that are not zero.  Every row vanishes on the pivot
-    columns of the levels before its own and on its own level's but its
-    own, so C is zero on the first level's pivot columns, and zero over a
-    prime field.  X is formed in place of B, its columns already in v's
-    order, so C is B's block on the first r columns; row i of C is read
-    before row i of B is replaced.
+    over the rows of C that are not zero, last first.  Every row vanishes on
+    the pivot columns of the levels before its own and on its own level's
+    but its own, so C is zero on the first level's pivot columns, and zero
+    over a prime field, where the loop is empty and X is B.  B and X are
+    held as the pivot rows' nonzero entries, their columns already in v's
+    order, and a row being back-substituted reads the rows after it, X's
+    already, through one CSR matrix of those entries.  v is written from
+    them row by row, one row per column of ech: no dense cols x cols or r x
+    cols array is made.
     """
     cols = ech.shape[1]
     r = len(pivots)
-    free = np.setdiff1d(np.arange(cols), pivots)
-    # X, v's pivot rows, with the pivot columns moved first: v is I - S^T X
-    x = np.take(ech[:r], np.concatenate((pivots, free)).astype(np.intp), axis=1)
-    if r and levels[-1]:
-        x //= p ** np.array(levels, dtype=np.int64)[:, None]
-    x[np.arange(r), np.arange(r)] = 0
-    low = levels.count(levels[0]) if r else 0  # C's columns before these are zero
-    for i in np.flatnonzero(x[:, low:r].any(axis=1))[::-1]:
-        x[i] = (x[i] - x[i, low:r] @ x[low:]) % q
-    np.negative(x, out=x)
-    x[np.arange(r), np.arange(r)] += 1
-    x %= q
-    v = np.zeros((cols, cols), dtype=np.int64)
-    v[np.array(pivots, dtype=np.intp)] = x
-    v[free, np.arange(r, cols)] = 1
-    return v
+    pivots = np.array(pivots, dtype=np.intp)
+    free = np.ones(cols, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    where = np.empty(cols, dtype=np.intp)  # v's column of each of ech's
+    where[pivots], where[free] = np.arange(r), np.arange(r, cols)
+    flat = np.flatnonzero(ech[:r] != 0)
+    row, col = np.divmod(flat, cols)
+    value = ech[:r].reshape(-1)[flat] // p ** np.array(levels, dtype=np.int64)[row]
+    col = where[col]
+    for i in np.unique(row[(col < r) & (col != row)])[::-1]:
+        off = col != row  # a row's own pivot entry, 1 after the division, is I's
+        x = sp.csr_matrix((value[off], (row[off], col[off])), shape=(r, cols))  # its rows after i are X's
+        new = x[i] - x[i, :r] @ x
+        new.data %= q
+        new.eliminate_zeros()
+        keep = (row != i) | ~off
+        row, col = np.concatenate((row[keep], np.full(new.nnz, i))), np.concatenate((col[keep], new.indices))
+        value = np.concatenate((value[keep], new.data))
+    # v's row pivots[i] is row i of X, negated, with its pivot's 1, and its row free[j] is 1 at r + j
+    at = np.concatenate((pivots[row], free))
+    sort = np.argsort(at, kind="stable")
+    data = np.concatenate((np.where(col == row, 1, -value % q), np.ones(cols - r, dtype=np.int64)))[sort]
+    indices = np.concatenate((col, np.arange(r, cols)))[sort]
+    return sp.csr_matrix((data, indices, np.searchsorted(at[sort], np.arange(cols + 1))), shape=(cols, cols))
 
 
 # -- the group generated by the rows of a matrix over Z_n -----------------------
@@ -473,8 +496,9 @@ class RowGroup:
     ``factors`` are the orders of the cyclic summands of the group, so their
     product is its order.  ``relations`` is a ``(k, rows)`` array whose rows
     generate ``{j : j @ mat == 0 (mod n)}`` mod n.  ``contains(vec)`` tells
-    whether vec is a Z_n-combination of the rows, in time linear in the
-    nonzero entries of the decomposition it holds.
+    whether vec is a Z_n-combination of the rows; ``row_group``'s holds the
+    Smith form's sparse right transform and tests in time linear in its
+    nonzero entries.
     """
 
     n: int
@@ -495,46 +519,33 @@ class RowGroup:
 
 
 def row_group(mat, n):
-    """Decompose mat once: ``row_echelon_mod_p`` for prime n, otherwise
-    ``smith_normal_form`` over Z_n, which refuses an n below 2 with
-    ``ValueError``.
+    """Decompose mat once by ``smith_normal_form`` over Z_n, for every n: an
+    n below 2 raises ``ValueError``.
 
-    Membership reads one CSR matrix.  For prime n it is the r echelon rows
-    transposed to cols x r, B, and vec is a member when ``vec - B
-    vec[pivots] == 0 (mod n)``: the reduced form is the identity on the
-    pivot columns, so the only candidate combination is vec's own pivot
-    entries.  For composite n it is the columns of the Smith v whose g is
-    not 1, transposed to kept x cols, and vec is a member when ``(v_kept^T
-    vec) mod g_kept == 0``: the group is ``{y v^-1 : g_i | y_i}``.  Both are
+    With g_i = d_i, and n past d, the group is ``{y v^-1 : g_i | y_i}``: its
+    factors are the n / g_i other than 1, its relations the rows ``(n / g_i)
+    u_i`` with g_i not 1, and vec is a member when every entry of ``v^T
+    vec`` whose g is not 1 is divisible by that g.  The g_i equal to 1 lead
+    the chain, so those rows and entries are a prefix, skipped.  Over a
+    prime field the relations are the kernel's ``t[r:]`` and the tested
+    columns of v the free columns of the reduced echelon form.  Membership
+    is one product with the sparse v's transpose, over its nonzero entries,
     exact in int64, since every entry and vec's residues are below n and a
     product-sum has at most ``cols`` terms, within the ``4 L n^2 < 2^63``
-    bound, and neither keeps a dense basis or v."""
+    bound; no dense basis or v is kept."""
     mat = _entries(mat)
     rows, cols = mat.shape
-    if is_prime(n):
-        ech, pivots, t = row_echelon_mod_p(mat, n)
-        r = len(pivots)
-        pivots = np.array(pivots, dtype=np.intp)
-        basis = sp.csc_matrix(ech[:r]).T  # CSR, cols x r: row c is column c of the echelon rows
-
-        def contains(vec):
-            vec = np.asarray(vec, dtype=np.int64) % n
-            return not np.any((vec - basis @ vec[pivots]) % n)
-
-        return RowGroup(n, (n,) * r, t[r:] % n, contains)
     d, u, v = smith_normal_form(mat, n)
     g = np.array(d + [n] * (max(rows, cols) - len(d)), dtype=np.int64)
-    g_rows, g_cols = g[:rows], g[:cols]
-    kept = g_rows != 1
-    relations = (n // g_rows[kept])[:, None] * u[kept] % n
-    # columns with g = 1 test nothing: every residue is divisible by 1
-    tested = np.flatnonzero(g_cols != 1)
-    v_kept, g_kept = sp.csc_matrix(v)[:, tested].T, g_cols[tested]  # CSR, kept x cols
+    ones = int(np.count_nonzero(g == 1))  # rows that are no relation, and entries that test nothing
+    relations = u[ones:] * (n // g[ones:rows])[:, None]
+    relations %= n
+    vt, g_kept = v.T, g[ones:cols]
 
     def contains(vec):
-        return not np.any((v_kept @ (np.asarray(vec, dtype=np.int64) % n)) % g_kept)
+        return not np.any((vt @ (np.asarray(vec, dtype=np.int64) % n))[ones:] % g_kept)
 
-    return RowGroup(n, tuple(n // int(gi) for gi in g if gi != n), relations, contains)
+    return RowGroup(n, tuple((n // g[g != n]).tolist()), relations, contains)
 
 
 def invariant_factors(orders, n):

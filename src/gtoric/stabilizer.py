@@ -22,14 +22,14 @@ relation.  The relations are built when something asks for them: membership
 (``is_logical``, ``logically_equivalent``, ``in_stabilizer_group``),
 ``analysis()``, a table that is not CSS, whose phase is quadratic, and
 ``with_flipped_target``.  Then each block is decomposed once
-(``linalg.row_group``: echelon form for prime n, on rows packed into Python
-ints, and otherwise the Smith form over Z_n, one elimination per
-prime-power part joined by the CRT) into its group order, the relations
-among its generators and a membership test, shared with target-flipped
-copies, and from then on each consistency verdict is one product with the
-relations and each membership read one sparse product, with the echelon
-rows for prime n and with the Smith v's tested columns for composite n.  The
-route is chosen by whether the relations exist.  Each count logs its
+(``linalg.row_group``: the Smith form over Z_n for every n, one elimination
+per prime-power part on rows packed into Python ints, joined by the CRT)
+into its group order, the relations among its generators and a membership
+test, shared with target-flipped copies, and from then on each consistency
+verdict is one product with the relations and each membership read one
+product with the Smith form's sparse right transform, whose tested columns
+over a prime field are the echelon form's free columns.  The route is
+chosen by whether the relations exist.  Each count logs its
 blocks, the kernel that eliminated them (``linalg.elimination_path``), the
 route of each block's consistency verdict and the seconds of each stage as
 one DEBUG record on the ``gtoric.stabilizer`` logger, silent by default.

@@ -5,6 +5,7 @@ from math import gcd
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -421,29 +422,48 @@ def composite_inputs(draw, max_rows=12, max_cols=30, moduli=COMPOSITE):
     return n, mat
 
 
+# Echelon forms whose pivot rows have entries on later pivot columns of a
+# higher level, the block C that ``_column_transform`` back-substitutes over
+# and that no catalog block has: over Z_4 row 0 meets the level-1 pivot
+# columns of rows 1 and 2; over Z_8, and in the Z_8 part of Z_24, row 0 meets
+# row 1's and row 1 meets row 2's, so X's row 0 takes row 1's entries after
+# row 1 was itself replaced.
+C_BLOCKS = [
+    (4, np.array([[1, 1, 0, 3], [0, 2, 2, 0], [0, 0, 0, 2]], dtype=np.int64)),
+    (8, np.array([[1, 1, 0, 5], [0, 2, 2, 0], [0, 0, 4, 4]], dtype=np.int64)),
+    (24, np.array([[1, 1, 0, 5], [0, 2, 2, 0], [0, 0, 4, 4]], dtype=np.int64)),
+]
+
+
 class TestSmithOverZn:
     """``smith_normal_form`` over Z_n, and ``row_group`` for composite n
     against the integer Smith form it replaced."""
 
     @settings(max_examples=200, deadline=None)
     @given(composite_inputs(max_cols=12))
+    @example(C_BLOCKS[0])
+    @example(C_BLOCKS[1])
+    @example(C_BLOCKS[2])
     def test_contract(self, data):
         n, mat = data
         rows, cols = mat.shape
         d, u, v = smith_normal_form(mat, n)
-        assert u.dtype == v.dtype == np.int64
+        assert u.dtype == v.dtype == np.int64 and sp.issparse(v)
         assert u.shape == (rows, rows) and v.shape == (cols, cols)
         diag = np.zeros((rows, cols), dtype=np.int64)
         diag[np.arange(len(d)), np.arange(len(d))] = d
         assert len(d) == min(rows, cols)
         assert np.array_equal((u @ mat @ v) % n, diag % n)
         assert gcd(integer_det(u), n) == 1
-        assert gcd(integer_det(v), n) == 1
+        assert gcd(integer_det(v.toarray()), n) == 1
         assert all(n % di == 0 for di in d)
         assert all(b % a == 0 for a, b in zip(d, d[1:]))
 
     @settings(max_examples=120, deadline=None)
     @given(composite_inputs(), st.integers(0, 2**32 - 1))
+    @example(C_BLOCKS[0], 0)
+    @example(C_BLOCKS[1], 0)
+    @example(C_BLOCKS[2], 0)
     def test_row_group_against_reference(self, data, seed):
         n, mat = data
         rows, cols = mat.shape
@@ -463,6 +483,18 @@ class TestSmithOverZn:
             assert group.contains(vec) and want.contains(vec)
         for vec in rng.integers(0, n, (20, cols)):
             assert group.contains(vec) == want.contains(vec)
+
+    @pytest.mark.parametrize("n, mat", C_BLOCKS)
+    def test_examples_reach_the_pivot_block(self, n, mat):
+        """Each ``C_BLOCKS`` example, given to the two tests above, has a
+        pivot row with an entry on a later pivot column, and over Z_8 the
+        rows form the chain that makes C^2 nonzero."""
+        p, k = _prime_powers(n)[0]
+        ech, pivots, levels, _ = _echelon(mat, p, k)
+        c = np.array([[ech[i, col] // p ** levels[i] % p**k for col in pivots] for i in range(len(pivots))])
+        c[np.arange(len(pivots)), np.arange(len(pivots))] = 0
+        assert c.any()
+        assert (c @ c).any() == (k == 3)
 
 
 @st.composite
@@ -715,4 +747,6 @@ class TestEntriesParity:
             for a, b in zip(row_echelon_mod_p(mat, p), row_echelon_mod_p(entries, p), strict=True):
                 assert np.array_equal(a, b)
         for a, b in zip(smith_normal_form(mat, n), smith_normal_form(entries, n), strict=True):
+            if sp.issparse(a):  # v
+                a, b = a.toarray(), b.toarray()
             assert np.array_equal(a, b)

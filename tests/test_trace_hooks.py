@@ -34,10 +34,11 @@ def test_tracer_installs_and_uninstalls():
     assert [owner.__dict__.get(attr) for owner, attr, *_ in spans.TARGETS] == originals
     # one commutation check per model.  report counts from linalg.row_order,
     # which the tracer does not wrap; is_logical then decomposes each CSS
-    # block (X and Z) once, and the flipped copy shares those relations
+    # block (X and Z) once, by one Smith form for every modulus, and the
+    # flipped copy shares those relations
     assert tracer.calls["stabilizer.check_commuting"] == 1
-    assert tracer.calls["linalg.row_echelon_mod_p"] == 2
-    assert tracer.calls["linalg.smith_normal_form"] == 0
+    assert tracer.calls["linalg.row_echelon_mod_p"] == 0
+    assert tracer.calls["linalg.smith_normal_form"] == 2
 
 
 def test_one_exponent_matrix_per_report():
