@@ -5,7 +5,10 @@ Every Hamiltonian here has the shape ``H = -sum_v A_v - sum_f B_f`` where
 each term is a product of cyclic projectors ``(1/n) sum_j w_n^{-t j} S^j``
 for a Pauli string ``S`` and a target eigenvalue exponent ``t``.  A term
 holds only its ``(S, t)`` factor pairs, and the expanded operator is built
-from them on first read.
+from them on first read, as one fold: the n^k rows of the k projectors are
+formed factor by factor and merged once (``product_of_projectors``).  A
+``ketbra`` and each holonomy projector of a face family are folds too, of a
+shift or the matched-corner projector times level projectors.
 
 A model is declared in ``TORUS_MODELS`` as its vertex and face factors, each
 a pure X or Z string given by site offsets and exponents.
@@ -24,10 +27,9 @@ encoded as the pair (tail digit i, head digit j) on the edge's two sites.
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -107,15 +109,23 @@ def decode_edge_state(g, pair):
     return g.morphism_of_pair(*pair)
 
 
+def _clock(n, nsites, site):
+    """Z at one site: its w_n^level eigenprojector is |level><level|."""
+    return PauliString.from_ops(n, nsites, z_at={site: 1})
+
+
 def level_projector(n, nsites, site, level):
     """|level><level| at one site: the w_n^level eigenprojector of Z there."""
-    return cyclic_projector(PauliString.from_ops(n, nsites, z_at={site: 1}), level)
+    return cyclic_projector(_clock(n, nsites, site), level)
 
 
 def ketbra(n, nsites, site, i, j):
-    """|i><j| at one site as an OperatorSum: X^{i-j} |j><j|."""
-    shift = PauliString.from_ops(n, nsites, x_at={site: (i - j) % n})
-    return OperatorSum.from_pauli(shift) * level_projector(n, nsites, site, j)
+    """|i><j| at one site as an OperatorSum: X^{i-j} |j><j|, one row of the
+    shift times the level projector's rows, merged once."""
+    sites = np.array([site])
+    shift = (np.ones(1, dtype=complex), np.array([[(i - j) % n, 0]]))
+    level = _projector_rows(_clock(n, nsites, site), j, sites)
+    return OperatorSum.product_of_rows(n, nsites, sites, [shift, level])
 
 
 def qubit_image_of_action(g, m, side):
@@ -147,23 +157,43 @@ def edge_encoding_matrix(g):
 # -- cyclic projectors ---------------------------------------------------------
 
 
-def cyclic_projector(s, target):
-    """Projector onto the w_n^target eigenspace of the order-n string s:
-    ``(1/n) sum_j w_n^{-target j} s^j``, where for ``s = w^p X^x Z^z``
-    the power ``s^j`` is ``w^{j p + j(j-1) x.z} X^{j x} Z^{j z}``."""
+def _support(strings):
+    """The sorted sites where some of the strings acts."""
+    return np.flatnonzero(np.any([s.x | s.z for s in strings], axis=0))
+
+
+def _projector_rows(s, target, sites):
+    """The n rows of ``cyclic_projector(s, target)`` as ``(coeffs, xz)``, with
+    ``xz`` on ``[x|z]`` at ``sites``, unmerged: for ``s = w^p X^x Z^z`` the
+    power ``s^j`` is ``w^{j p + j(j-1) x.z} X^{j x} Z^{j z}``, with weight
+    ``w_n^{-target j} / n``."""
     if not order_divides_n(s):
         raise ValueError("string has order larger than n; projector undefined")
     n = s.n
     j = np.arange(n)
-    xz = np.outer(j, np.concatenate((s.x, s.z))) % n
+    xz = np.outer(j, np.concatenate((s.x[sites], s.z[sites]))) % n
     phase = (j * s.phase + j * (j - 1) * int(s.x @ s.z)) % (2 * n)
-    coeffs = _cmul(_roots(n)[-target * j % n] / n, _roots(2 * n)[phase])
-    return OperatorSum._from_arrays(n, s.nsites, coeffs, xz)
+    return _cmul(_roots(n)[-target * j % n] / n, _roots(2 * n)[phase]), xz
+
+
+def cyclic_projector(s, target):
+    """Projector onto the w_n^target eigenspace of the order-n string s:
+    ``(1/n) sum_j w_n^{-target j} s^j``, the one-factor product of
+    projectors."""
+    return product_of_projectors([(s, target)])
 
 
 def product_of_projectors(factors):
-    """Product, in order, of the projectors of one or more (string, target) factors."""
-    return reduce(operator.mul, (cyclic_projector(s, t) for s, t in factors))
+    """Product, in order, of the projectors of one or more (string, target)
+    factors: the n^k rows are formed factor by factor on the factors' sites
+    (``OperatorSum.product_of_rows``) and merged once, not once per factor
+    and once per pairwise product.  Each coefficient is multiplied in the
+    order the pairwise product takes, and on the catalog's factors no two
+    rows meet, so the result is the pairwise product's bit for bit."""
+    strings = [s for s, _ in factors]
+    sites = _support(strings)
+    rows = [_projector_rows(s, t, sites) for s, t in factors]
+    return OperatorSum.product_of_rows(strings[0].n, strings[0].nsites, sites, rows)
 
 
 def projector_action(s, target):
@@ -236,16 +266,15 @@ def face_projector_family(lat, f, n=2):
     x, y = f
     corners = [(face_corner_string(lat, f, c, n), 0) for c in ("NW", "NE", "SE")]
     matched = product_of_projectors(corners)
-    n_site = lat.site_index((x, y, "N"))
-    e_site = lat.site_index((x, y, "E"))
+    # each holonomy projector is matched times two level projectors, merged once
+    levels = [_clock(n, lat.n_sites, lat.site_index((x, y, d))) for d in "NE"]
+    sites = np.union1d(matched.support(), _support(levels))
+    lead = (matched.coeffs, np.hstack((matched.x[:, sites], matched.z[:, sites])))
     family = {}
     for i in range(1, n + 1):
         for k in range(1, n + 1):
-            family[("x", i, k)] = (
-                matched
-                * level_projector(n, lat.n_sites, n_site, i)
-                * level_projector(n, lat.n_sites, e_site, k)
-            )
+            rows = [lead, _projector_rows(levels[0], i, sites), _projector_rows(levels[1], k, sites)]
+            family[("x", i, k)] = OperatorSum.product_of_rows(n, lat.n_sites, sites, rows)
     # the four holonomy projectors partition the matched sector, so the
     # excited remainder is everything with some outer corner mismatched
     family["zero"] = OperatorSum.identity(n, lat.n_sites) - matched

@@ -373,6 +373,17 @@ def _cmul(a, b):
     return out
 
 
+def _pair_rows(n, ca, a, cb, b, weights):
+    """The rows ``a + b`` (mod n) of every pair of a row of ``a`` and a row
+    of ``b``, two exponent arrays on the same columns, with coefficient
+    ``(c_a c_b) weights[a, b]``, in row-major order of the pairs: the row
+    arithmetic of every product of sums."""
+    coeffs = _cmul(_cmul(ca[:, None], cb[None, :]), weights)
+    xz = a[:, None] + b[None, :]
+    np.subtract(xz, n, out=xz, where=xz >= n)  # both terms lie in 0..n-1
+    return coeffs.ravel(), xz.reshape(coeffs.size, a.shape[1])
+
+
 class OperatorSum:
     """Finite complex-weighted sum of PauliStrings on a common site set.
 
@@ -381,8 +392,9 @@ class OperatorSum:
     distinct Pauli with its phase folded into the coefficient; rows with
     ``|c| <= 1e-14`` are dropped and the rest are sorted in lexicographic
     order of their ``[x|z]`` exponents.  Every operation (sum, difference,
-    product, commutator, scaling) forms its rows in one pass and merges them
-    once.  ``terms`` lists them as ``(coeff, PauliString)`` pairs, built on
+    product, commutator, scaling, and ``product_of_rows``, the product of
+    several sums given by their rows) forms its rows in one pass and merges
+    them once.  ``terms`` lists them as ``(coeff, PauliString)`` pairs, built on
     first read.
     """
 
@@ -418,9 +430,12 @@ class OperatorSum:
         further word with rank r refines the rank to ``rank * (r.max() + 1) +
         r``, ranked again.  The ranks follow the lexicographic order of the
         rows, and each distinct row is recovered by scattering the rows onto
-        their ranks."""
+        their ranks.  The zero sum, given by no rows, has nothing to rank."""
         if n < 2:
             raise ValueError("qudit dimension must be >= 2")
+        if not len(coeffs):
+            self._store(n, nsites, np.zeros(0, dtype=complex), np.zeros((0, 2 * nsites), dtype=np.int64))
+            return
         if cols is None:
             cols = np.flatnonzero(xz.any(axis=0))
             xz = xz[:, cols]
@@ -439,17 +454,23 @@ class OperatorSum:
         re = np.bincount(inverse, coeffs.real, size)
         im = np.bincount(inverse, coeffs.imag, size)
         keep = np.hypot(re, im) > 1e-14  # np.abs may round |c| differently from abs()
+        coeffs = np.empty(np.count_nonzero(keep), dtype=complex)
+        coeffs.real = re[keep]
+        coeffs.imag = im[keep]
+        xz = np.zeros((len(coeffs), 2 * nsites), dtype=np.int64)
+        xz[:, cols] = rows[keep]
+        self._store(n, nsites, coeffs, xz)
+
+    def _store(self, n, nsites, coeffs, xz):
+        """Keep merged rows, read-only, with ``x`` and ``z`` as views of ``xz``."""
+        coeffs.setflags(write=False)
+        xz.setflags(write=False)
         self.n = n
         self.nsites = nsites
-        self.coeffs = np.empty(np.count_nonzero(keep), dtype=complex)
-        self.coeffs.real = re[keep]
-        self.coeffs.imag = im[keep]
-        self.coeffs.setflags(write=False)
-        self._xz = np.zeros((len(self.coeffs), 2 * nsites), dtype=np.int64)
-        self._xz[:, cols] = rows[keep]
-        self._xz.setflags(write=False)
-        self.x = self._xz[:, :nsites]
-        self.z = self._xz[:, nsites:]
+        self.coeffs = coeffs
+        self._xz = xz
+        self.x = xz[:, :nsites]
+        self.z = xz[:, nsites:]
 
     @functools.cached_property
     def terms(self):
@@ -506,14 +527,27 @@ class OperatorSum:
         """The rows ``a + b`` of every pair of rows a of ``self[ra]`` and b of
         ``other[rb]`` (all rows by default), with coefficient ``c_a c_b
         weights[a, b]``, merged once."""
-        n, a, b = self.n, self._xz[ra], other._xz[rb]
-        coeffs = _cmul(_cmul(self.coeffs[ra, None], other.coeffs[None, rb]), weights)
+        a, b = self._xz[ra], other._xz[rb]
         cols = np.flatnonzero(a.any(axis=0) | b.any(axis=0))
-        xz = a[:, None, cols] + b[None, :, cols]
-        np.subtract(xz, n, out=xz, where=xz >= n)  # both terms lie in 0..n-1
-        return OperatorSum._from_arrays(
-            n, self.nsites, coeffs.ravel(), xz.reshape(coeffs.size, len(cols)), cols
-        )
+        coeffs, xz = _pair_rows(self.n, self.coeffs[ra], a[:, cols], other.coeffs[rb], b[:, cols], weights)
+        return OperatorSum._from_arrays(self.n, self.nsites, coeffs, xz, cols)
+
+    @classmethod
+    def product_of_rows(cls, n, nsites, sites, factors):
+        """The product, in order, of sums given by their rows: each factor is
+        ``(coeffs, xz)`` with ``xz`` its ``[x|z]`` exponents on the sorted
+        ``sites`` only, reduced mod n, its rows neither merged nor distinct.
+        The rows are formed factor by factor with the row arithmetic of
+        ``__mul__``, each step's reordering phase ``w_n^{z_acc . x_b}`` read
+        from the rows formed so far, and merged once at the end.  Wherever
+        the factors' merges would have neither summed nor dropped a row,
+        the result equals the pairwise product bit for bit."""
+        k = len(sites)
+        coeffs, xz = factors[0]
+        for cb, b in factors[1:]:
+            weights = _roots(2 * n)[2 * _cross(xz[:, k:], b[:, :k], n)]
+            coeffs, xz = _pair_rows(n, coeffs, xz, cb, b, weights)
+        return cls._from_arrays(n, nsites, coeffs, xz, np.concatenate((sites, nsites + sites)))
 
     def is_zero(self, tol=1e-12):
         return bool(np.all(np.hypot(self.coeffs.real, self.coeffs.imag) <= tol))
@@ -525,10 +559,15 @@ class OperatorSum:
         """``self * other - other * self`` as one pair product: rows a and b
         give the row ``a + b`` in both products, with the reordering phases
         ``w_n^{z_a . x_b}`` and ``w_n^{x_a . z_b}``, so their difference is
-        the pair's weight, exactly 0 when the two rows commute."""
+        the pair's weight, exactly 0 when the two rows commute.  When every
+        pair commutes, as for any two terms of a catalog model, whose rows
+        are products of commuting stabilizer strings, the commutator is the
+        zero sum, formed with no pair product."""
         self._check_compatible(other)
         n, roots = self.n, _roots(2 * self.n)
         weights = roots[2 * _cross(self.z, other.x, n)] - roots[2 * _cross(self.x, other.z, n)]
+        if not weights.any():
+            return OperatorSum._from_arrays(n, self.nsites, self.coeffs[:0], self._xz[:0])
         # a row whose pairs all weigh 0 adds only exact zeros: leave it out
         ra, rb = weights.any(axis=1), weights.any(axis=0)
         return self._pair_product(other, weights[ra][:, rb], ra, rb)

@@ -190,36 +190,18 @@ class StabilizerModel:
     def check_commuting(self):
         """Raise unless ``X Z^T - Z X^T == 0 (mod n)`` for the generators'
         exponents, i.e. unless every pair commutes; the error names the
-        least clashing pair (i, j), i < j.
-
-        Every nonzero x_i.z_j is a sum over the sites where an x entry of
-        generator i meets a z entry of generator j, so the table's x and z
-        entries are joined on site: the z entries sorted by site and counted
-        per site, each x entry repeated once per z entry on its site, and the
-        products summed per pair.  x_i.z_j and x_j.z_i go to one pair (min,
-        max) with opposite signs, so a table that is not CSS is checked the
-        same way; in a CSS table no pair meets its transpose, since two pure
-        rows of one kind commute.  No matrix is built."""
-        n, g = self.n, len(self.table)
-        (xg, xs, xv), (zg, zs, zv) = self.table.part_entries
-        order = np.argsort(zs, kind="stable")
-        zg, zv = zg[order], zv[order]
-        on_site = np.bincount(zs, minlength=self.nsites)  # z entries per site
-        lo, count = (np.cumsum(on_site) - on_site)[xs], on_site[xs]
-        xe = np.repeat(np.arange(len(xs)), count)  # the x entry and the z entry of each product
-        if not len(xe):
-            return
-        ze = np.arange(len(xe)) + np.repeat(lo - np.cumsum(count) + count, count)
-        i, j = xg[xe], zg[ze]
-        value = xv[xe] * zv[ze] * np.sign(j - i)  # each below n^2, as StabilizerModel bounds
-        pair = np.minimum(i, j) * g + np.maximum(i, j)
-        order = np.argsort(pair, kind="stable")
-        pair, value = pair[order], value[order]
-        first = np.flatnonzero(np.concatenate(([True], pair[1:] != pair[:-1])))  # of each pair's run
-        bad = first[np.add.reduceat(value, first) % n != 0]
-        if len(bad):
-            i, j = divmod(int(pair[bad[0]]), g)
+        least clashing pair (i, j), i < j.  The check (``_clashing_pair``)
+        runs on the first call and its verdict is kept, so ``_blocks`` and
+        every later call reuse it, and a model that fails raises on every
+        call.  The targets do not enter, so target-flipped copies share it."""
+        if self._clash is not None:
+            i, j = self._clash
             raise InvalidModelError(f"generators {i} and {j} do not commute")
+
+    @cached_property
+    def _clash(self):
+        """``check_commuting``'s verdict: the least clashing pair, or None."""
+        return _clashing_pair(self.table, self.nsites, self.n)
 
     @cached_property
     def _blocks(self):
@@ -321,6 +303,38 @@ class StabilizerModel:
         flipped.targets[index] = (flipped.targets[index] + delta) % self.n
         flipped.targets.setflags(write=False)
         return flipped
+
+
+def _clashing_pair(table, nsites, n):
+    """The least pair (i, j), i < j, of the table's generators that do not
+    commute, or None when ``X Z^T - Z X^T == 0 (mod n)``.
+
+    Every nonzero x_i.z_j is a sum over the sites where an x entry of
+    generator i meets a z entry of generator j, so the table's x and z
+    entries are joined on site: the z entries sorted by site and counted
+    per site, each x entry repeated once per z entry on its site, and the
+    products summed per pair.  x_i.z_j and x_j.z_i go to one pair (min,
+    max) with opposite signs, so a table that is not CSS is checked the
+    same way; in a CSS table no pair meets its transpose, since two pure
+    rows of one kind commute.  No matrix is built."""
+    g = len(table)
+    (xg, xs, xv), (zg, zs, zv) = table.part_entries
+    order = np.argsort(zs, kind="stable")
+    zg, zv = zg[order], zv[order]
+    on_site = np.bincount(zs, minlength=nsites)  # z entries per site
+    lo, count = (np.cumsum(on_site) - on_site)[xs], on_site[xs]
+    xe = np.repeat(np.arange(len(xs)), count)  # the x entry and the z entry of each product
+    if not len(xe):
+        return None
+    ze = np.arange(len(xe)) + np.repeat(lo - np.cumsum(count) + count, count)
+    i, j = xg[xe], zg[ze]
+    value = xv[xe] * zv[ze] * np.sign(j - i)  # each below n^2, as StabilizerModel bounds
+    pair = np.minimum(i, j) * g + np.maximum(i, j)
+    order = np.argsort(pair, kind="stable")
+    pair, value = pair[order], value[order]
+    first = np.flatnonzero(np.concatenate(([True], pair[1:] != pair[:-1])))  # of each pair's run
+    bad = first[np.add.reduceat(value, first) % n != 0]
+    return divmod(int(pair[bad[0]]), g) if len(bad) else None
 
 
 def _invariant_factors(block_factors, n):

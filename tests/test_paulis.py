@@ -2,6 +2,7 @@
 
 import math
 import operator
+from functools import reduce
 from types import SimpleNamespace
 
 import mpmath
@@ -10,7 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtoric.catalog import build_hamiltonian, cyclic_projector
+from gtoric.catalog import (
+    build_hamiltonian, cyclic_projector, face_corner_string, face_projector_family, ketbra, level_projector,
+    product_of_projectors, vertex_corner_string, vertex_projector_family,
+)
 from gtoric.lattice import Lattice
 from gtoric.oracle import BudgetExceededError, trace_product
 from gtoric.paulis import (
@@ -20,6 +24,7 @@ from gtoric.paulis import (
     _roots,
     _word_places,
     apply_pauli,
+    lattice_string,
     pauli_from_text,
     pauli_to_text,
     symplectic_phase,
@@ -583,6 +588,23 @@ class TestArrayAlgebra:
             merges.clear()
             x - y
             assert len(merges) == 1 and not products
+        factors = build_hamiltonian("mnondeg", lat).terms[0].factors
+        for k in range(1, 5):
+            merges.clear()
+            product_of_projectors(factors[:k])
+            assert len(merges) == 1 and not products
+        merges.clear()
+        ketbra(3, 2, 1, 0, 2)
+        assert len(merges) == 1 and not products
+        pairs = []
+        pair = OperatorSum._pair_product
+        monkeypatch.setattr(OperatorSum, "_pair_product", lambda self, *args: pairs.append(1) or pair(self, *args))
+        merges.clear()
+        assert a.commutator(b).is_zero()  # every row pair of two model terms commutes
+        assert len(merges) == 1 and not pairs
+        got = a.commutator(c)  # c anticommutes with a's X row on site 1
+        assert len(pairs) == 1 and not got.is_zero()
+        assert_same_commutator(got, reference_commutator(reference_merge(a.terms), reference_merge(c.terms)))
 
     @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
     def test_mismatched_dimensions_raise(self, op):
@@ -593,6 +615,61 @@ class TestArrayAlgebra:
                 op(empty, other)
             with pytest.raises(ValueError):
                 op(other, empty)
+
+
+def pairwise(factors):
+    """The product of (string, target) projectors, merged after each pairwise product."""
+    return reduce(operator.mul, (cyclic_projector(s, t) for s, t in factors))
+
+
+class TestProjectorFold:
+    """Every product of projectors formed by one fold and one merge equals,
+    bit for bit, the pairwise product that merges after every factor."""
+
+    @pytest.mark.parametrize("model, specs", [
+        *((m, [("torus", 2, 2), ("torus", 3, 2), ("torus", 3, 3)])
+          for m in ("m1", "m2", "m3exp", "mhoriz", "mvert", "mnondeg", "zn:3")),
+        *((f"zn:{n}", [("torus", 2, 2), ("torus", 3, 2)]) for n in (2, 4, 5, 6, 8, 9)),
+        ("boundary", [("open", 1, 1), ("open", 2, 2), ("open", 3, 2)]),
+    ])
+    def test_term_opsums(self, model, specs):
+        for spec in specs:
+            for t in build_hamiltonian(model, Lattice(*spec)).terms:
+                assert_same_bits(t.opsum, pairwise(t.factors).terms)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_vertex_family(self, n):
+        for spec in (("torus", 2, 2), ("torus", 3, 3)):
+            lat = Lattice(*spec)
+            x4 = lattice_string(lat, n, x=[(s, 1) for s in lat.vertex_sites((1, 1))])
+            strings = [x4] + [vertex_corner_string(lat, (1, 1), c, n) for c in ("NW", "SW", "SE")]
+            targets = np.indices((n,) * 4).reshape(4, -1).T.tolist()  # lexicographic, shift first
+            for got, ts in zip(vertex_projector_family(lat, (1, 1), n), targets, strict=True):
+                assert_same_bits(got, pairwise(zip(strings, ts)).terms)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_face_family(self, n):
+        for spec in (("torus", 2, 2), ("torus", 3, 3)):
+            lat = Lattice(*spec)
+            matched = pairwise((face_corner_string(lat, (1, 0), c, n), 0) for c in ("NW", "NE", "SE"))
+            n_site, e_site = (lat.site_index((1, 0, d)) for d in "NE")
+            family = face_projector_family(lat, (1, 0), n)
+            assert len(family) == n * n + 1
+            for i in range(1, n + 1):
+                for k in range(1, n + 1):
+                    want = matched * level_projector(n, lat.n_sites, n_site, i) * level_projector(
+                        n, lat.n_sites, e_site, k)
+                    assert_same_bits(family[("x", i, k)], want.terms)
+            assert_same_bits(family["zero"], (OperatorSum.identity(n, lat.n_sites) - matched).terms)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 9])
+    def test_ketbra(self, n):
+        for site in (0, 2):
+            for i in range(n):
+                for j in range(n):
+                    shift = PauliString.from_ops(n, 3, x_at={site: (i - j) % n})
+                    want = OperatorSum.from_pauli(shift) * level_projector(n, 3, site, j)
+                    assert_same_bits(ketbra(n, 3, site, i, j), want.terms)
 
 
 class TestTextFormat:

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtoric import catalog
+from gtoric import catalog, stabilizer
 from gtoric.catalog import (
     build_hamiltonian,
     cyclic_projector,
@@ -95,6 +95,28 @@ class TestConstruction:
             bad.check_commuting()
         with pytest.raises(InvalidModelError):
             gsd(bad)
+
+    def test_commutation_checked_once(self, monkeypatch):
+        """``validate``'s ``check_commuting()`` then ``phase_consistent()``
+        join the table once, a target-flipped copy reuses the verdict, and a
+        model that fails raises on every call from one join."""
+        joins = []
+        join = stabilizer._clashing_pair
+        monkeypatch.setattr(stabilizer, "_clashing_pair", lambda *args: joins.append(1) or join(*args))
+        sm = model_for("m1", m=4, n=4)
+        sm.check_commuting()
+        assert phase_consistent(sm)
+        assert not phase_consistent(first_face_flipped(sm))
+        sm.check_commuting()
+        assert len(joins) == 1
+        lat = sm.lattice
+        clash = PauliString.from_ops(2, lat.n_sites, x_at={0: 1}, z_at={1: 1})
+        bad = bare_model(2, lat.n_sites, list(sm.generators) + [(clash, 0)])
+        for call in (bad.check_commuting, bad.check_commuting, lambda: phase_consistent(bad),
+                     lambda: bad.with_flipped_target(0)):
+            with pytest.raises(InvalidModelError, match="do not commute"):
+                call()
+        assert len(joins) == 2
 
     @pytest.mark.parametrize(
         "n, z, phase",
