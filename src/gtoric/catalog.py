@@ -36,10 +36,9 @@ import numpy as np
 
 from .groupoids import SisGroupoid, ZERO
 from .lattice import DIRECTIONS, FACE_CORNERS, FACE_NONSW, Lattice
-from .oracle import _check_budget
 from .paulis import (
-    OperatorSum, PauliString, PauliTable, _cmul, _roots, act, clock_exponents, lattice_string,
-    order_divides_n, power_action,
+    OperatorSum, PauliString, PauliTable, _check_budget, _cmul, _roots, act, clock_exponents,
+    lattice_string, order_divides_n, power_action,
 )
 
 MODEL_IDS = ("m1", "m2", "m3exp", "mhoriz", "mvert", "mnondeg", "zn", "boundary")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groupoids import ZERO
+from .groupoids import ZERO, central_identity_sum
 
 # corner of the face at which the vertex sits -> (incoming slots, outgoing slots)
 CORNER_EDGES = {
@@ -145,8 +145,6 @@ def check_summed_commutation(groupoid, corner, face_element=None):
     ``w[s]`` the element's coefficient of ``kept[s]``, a state counts when
     its column of ``A W - W A`` is nonzero: when some move sends it to a
     state of another weight (weights compared exactly)."""
-    from .groupoids import central_identity_sum
-
     space = FaceVertexSpace(groupoid)
     if face_element is None:
         face_element = central_identity_sum(groupoid)

@@ -5,8 +5,9 @@ projector and commutation claims numerically, computes ground-space
 dimensions, builds ground states, and measures per-term expectations.
 
 The memory budget caps basis amplitudes and sparse matrix nonzeros (the
-environment variable ``GTORIC_BUDGET`` overrides the default of 2**24).  At
-every size the ground-space dimension is the trace of the ordered product of
+environment variable ``GTORIC_BUDGET`` overrides the default of 2**24); it
+lives in :mod:`gtoric.paulis`, and its names are read here too.  At every
+size the ground-space dimension is the trace of the ordered product of
 the term projectors, each term realized once as a sparse matrix; the same
 matrices then verify on random probes that the product is an exact projector
 onto the lowest eigenspace.
@@ -20,8 +21,9 @@ D P = P D = P for the product P, so Tr P = Tr (D P D), exactly, for any
 list of OperatorSums; a term that fails (a) or (b) confines nothing.  S is
 found by evaluating the terms, never from the stabilizer engine, and is
 enumerated by joining the terms' allowed local configurations, so only an S
-that is the whole basis takes an array of all n^sites states.  On m1
-torus:2x2, S holds 512 of 65,536 states.
+that is the whole basis takes an array of all n^sites states.  Both the join
+and the realization read the digits of S's states off their indices with
+``paulis._digit_table``.  On m1 torus:2x2, S holds 512 of 65,536 states.
 
 Matrices are realized from phases that ``paulis._roots`` makes exact where
 they can be: for n = 2, and for n = 4 projectors, every root of unity is
@@ -48,11 +50,15 @@ expectation from 0 or 1.
 from __future__ import annotations
 
 import logging
-import os
 
 import numpy as np
 
-DEFAULT_BUDGET = 2**24
+from . import paulis
+from .lattice import parse_site
+from .paulis import (  # noqa: F401  the budget's names are read here too
+    DEFAULT_BUDGET, BudgetExceededError, InvalidBudgetError, _check_budget, _check_nonzeros, budget,
+)
+
 # every count takes the projector trace; the name stays because the benchmark
 # tracer labels a count of at most this many amplitudes the eigensolve path,
 # so 0 labels every count the trace path
@@ -60,14 +66,6 @@ DENSE_EIG_DIM = 0
 TOL = 1e-10
 
 log = logging.getLogger(__name__)
-
-
-class BudgetExceededError(MemoryError):
-    pass
-
-
-class InvalidBudgetError(ValueError):
-    pass
 
 
 class SeedAnnihilatedError(ValueError):
@@ -82,27 +80,6 @@ class SeedViolatesFaceTermError(ValueError):
     def __init__(self, faces):
         super().__init__(f"seed configuration violates face terms at {faces}")
         self.faces = faces
-
-
-def budget():
-    text = os.environ.get("GTORIC_BUDGET", str(DEFAULT_BUDGET))
-    if not text.strip().isdecimal():
-        raise InvalidBudgetError(f"GTORIC_BUDGET must be a non-negative integer, not {text!r}")
-    return int(text)
-
-
-def _check_budget(n, nsites):
-    dim = n**nsites
-    if dim > budget():
-        raise BudgetExceededError(
-            f"dimension {n}^{nsites} exceeds the amplitude budget {budget()}"
-        )
-    return dim
-
-
-def _check_nonzeros(count):
-    if count > budget():
-        raise BudgetExceededError(f"up to {count} sparse nonzeros exceed the budget {budget()}")
 
 
 def trace_product(terms, lat, n):
@@ -129,8 +106,6 @@ def _sector(opsums):
     P = D P D.  A configuration counts as ``d = 0`` when |d| is at most 1e-12
     times the sum's coefficient mass, which leaves the round-off of an exact
     cancellation out of the sector."""
-    from .paulis import _digit_table
-
     if not opsums:
         return None
     n, nsites = opsums[0].n, opsums[0].nsites
@@ -165,7 +140,7 @@ def _sector(opsums):
         )
         states = spread(states, sites[~covered[sites]])
         covered[sites] = True
-        states = states[keep[_digit_table(n, nsites, sites, states)]]
+        states = states[keep[paulis._digit_table(n, nsites, sites, states)]]
     return np.sort(spread(states, np.flatnonzero(~covered)))
 
 
@@ -198,8 +173,11 @@ def _product_trace(opsums, dim):
 def ground_space_dimension(h):
     """Multiplicity of the lowest eigenvalue -(term count): the trace of the
     product of the term projectors, verified on random probes to be an exact
-    projector onto that eigenspace."""
+    projector onto that eigenspace.  A model with no terms has H = 0, and
+    every state is a ground state."""
     dim = _check_budget(h.n, h.lattice.n_sites)
+    if not h.terms:
+        return dim
     mats = []
     peak = 0
     for mat, proj in _products((t.opsum for t in h.terms), dim):
@@ -255,8 +233,6 @@ def basis_state(lat, n, digits):
 def parse_seed_config(text, lat, n):
     """Seed syntax: whitespace-separated assignments, later ones override:
     ``all=K``, ``D=K`` for a direction D in {W,N,E,S}, or ``(x,y).D=K``."""
-    from .lattice import parse_site
-
     digits = [1] * lat.n_sites
     for token in text.split():
         if "=" not in token:
@@ -329,7 +305,4 @@ def _log_applied(name, states, terms, values):
     )
 
 
-def apply_pauli_to_state(p, vec):
-    from .paulis import apply_pauli
-
-    return apply_pauli(p, vec)
+apply_pauli_to_state = paulis.apply_pauli

@@ -18,18 +18,57 @@ for n = 4 every clock eigenvalue and projector coefficient is.  Projector
 cancellations then come out as exact zeros, with no tolerance cut, and a
 realized matrix stores only its true nonzeros.  Elsewhere the irrational
 parts carry the usual round-off.
+
+Realizations read the basis digits of the states they act on in one way,
+:func:`_digit_table` over given state indices; a full-basis realization
+passes every index.  The memory budget lives here, as the lowest module that
+allocates against it: ``budget()`` caps basis amplitudes and sparse
+nonzeros (the environment variable ``GTORIC_BUDGET`` overrides the default
+of 2**24), and :mod:`gtoric.oracle` and :mod:`gtoric.catalog` check against
+it through this module.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import re
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import linalg
-from .oracle import _check_budget, _check_nonzeros
+
+DEFAULT_BUDGET = 2**24
+
+
+class BudgetExceededError(MemoryError):
+    pass
+
+
+class InvalidBudgetError(ValueError):
+    pass
+
+
+def budget():
+    text = os.environ.get("GTORIC_BUDGET", str(DEFAULT_BUDGET))
+    if not text.strip().isdecimal():
+        raise InvalidBudgetError(f"GTORIC_BUDGET must be a non-negative integer, not {text!r}")
+    return int(text)
+
+
+def _check_budget(n, nsites):
+    dim = n**nsites
+    if dim > budget():
+        raise BudgetExceededError(
+            f"dimension {n}^{nsites} exceeds the amplitude budget {budget()}"
+        )
+    return dim
+
+
+def _check_nonzeros(count):
+    if count > budget():
+        raise BudgetExceededError(f"up to {count} sparse nonzeros exceed the budget {budget()}")
 
 
 class PauliString:
@@ -91,22 +130,15 @@ class PauliString:
         )
 
     def inverse(self):
-        inv = PauliString(self.n, -self.x, -self.z, 0)
-        residue = (self * inv).phase
-        return PauliString(self.n, -self.x, -self.z, -residue)
+        """``self ** -1``."""
+        return self ** -1
 
     def __pow__(self, k):
-        k = int(k)
-        if k < 0:
-            return self.inverse() ** (-k)
-        acc = PauliString.identity(self.n, self.nsites)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+        """``w^{k phase + k(k-1) x.z} X^{kx} Z^{kz}`` for every integer k:
+        each of the k(k-1)/2 reorderings of a Z^z past an X^x costs
+        ``w_n^{x.z}``, i.e. phase ``2 x.z`` in units of w."""
+        k = int(k) % (2 * self.n)  # p^{2n} = I, and a small k keeps k x in int64
+        return PauliString(self.n, k * self.x, k * self.z, k * self.phase + k * (k - 1) * int(self.x @ self.z))
 
     def is_identity(self):
         return not self.x.any() and not self.z.any() and self.phase == 0
@@ -241,24 +273,15 @@ class PauliTable:
 # -- dense / sparse realization and state application ------------------------
 
 
-def _digit_table(n, nsites, sites, states=None):
-    """Per basis state (all n^nsites of them by default), its digits on
-    ``sites`` read as one base-n number, the first site most significant
-    (digit d in 0..n-1 stands for level label d+1).  For all states the number
-    is formed on a grid with one axis per site, of length n on the given sites
-    and 1 elsewhere, and spread over the basis once; for given states it is
-    read off their indices, site by site."""
-    if states is not None:
-        code = np.zeros(len(states), dtype=np.int64)
-        for s in sites:
-            code = code * n + states // n ** (nsites - 1 - s) % n
-        return code
-    code = np.zeros((1,) * nsites, dtype=np.int64)
-    for k, s in enumerate(sites):
-        axis = [1] * nsites
-        axis[s] = n
-        code = code + (np.arange(n) * n ** (len(sites) - 1 - k)).reshape(axis)
-    return np.broadcast_to(code, (n,) * nsites).ravel()
+def _digit_table(n, nsites, sites, states):
+    """Per basis state index in ``states``, its digits on ``sites`` read as
+    one base-n number, the first site most significant (digit d in 0..n-1
+    stands for level label d+1), read off the indices site by site.  A
+    full-basis realization passes all n^nsites indices."""
+    code = np.zeros(len(states), dtype=np.int64)
+    for s in sites:
+        code = code * n + states // n ** (nsites - 1 - s) % n
+    return code
 
 
 def pauli_permutation(p):
@@ -268,8 +291,8 @@ def pauli_permutation(p):
     return next(OperatorSum.from_pauli(p)._columns())
 
 
-def clock_exponents(n, z, j=1):
-    """``sum_s j z_s (d_s + 1) mod n`` over the sites where z is nonzero, for
+def clock_exponents(n, z):
+    """``sum_s z_s (d_s + 1) mod n`` over the sites where z is nonzero, for
     digits d_s in 0..n-1 (levels 1..n): an array with an axis of length n on
     each of those sites and of length 1 on every other, which broadcasts
     over a state viewed as an ``(n,) * nsites`` array.  It is built one
@@ -280,21 +303,21 @@ def clock_exponents(n, z, j=1):
     out = np.zeros((), dtype=np.int64)
     for e in exps:
         if e:
-            out = out[..., None] + j * e * levels
+            out = out[..., None] + e * levels
     return (out % n).reshape([n if e else 1 for e in exps])
 
 
 def power_action(p, j, coeff=1.0):
     """``coeff * p^j`` prepared for :func:`act` as ``(weights, shifts,
-    axes)``.  For ``p = w^phase X^x Z^z`` the power is
-    ``w^{j phase + j(j-1) x.z} X^{jx} Z^{jz}``: Z acts first, so the global
-    phase and the clock phases ``w_n^{j z_s (d_s + 1)}`` form one array over
-    the Z support, and X^{jx} rolls each X support axis by ``j x_s``.  ``act``
-    rolls the state before it multiplies, so the phases are rolled alike."""
-    n = p.n
-    phase = (j * p.phase + j * (j - 1) * int(p.x @ p.z)) % (2 * n)
-    weights = coeff * _roots(2 * n)[(phase + 2 * clock_exponents(n, p.z, j)) % (2 * n)]
-    shift = [j * e % n for e in p.x.tolist()]
+    axes)``.  For the power ``p ** j = w^phase X^x Z^z``, Z acts first, so
+    the global phase and the clock phases ``w_n^{z_s (d_s + 1)}`` form one
+    array over the Z support, and X^x rolls each X support axis by ``x_s``.
+    ``act`` rolls the state before it multiplies, so the phases are rolled
+    alike."""
+    q = p**j
+    n = q.n
+    weights = coeff * _roots(2 * n)[(q.phase + 2 * clock_exponents(n, q.z)) % (2 * n)]
+    shift = q.x.tolist()
     axes = tuple(a for a, e in enumerate(shift) if e)
     shifts = tuple(shift[a] for a in axes)
     if any(weights.shape[a] > 1 for a in axes):  # the phases meet the X support
@@ -629,10 +652,11 @@ class OperatorSum:
         state ``rows[i]``.  A Pauli term puts one entry in each column, at a
         row fixed by its X exponents alone."""
         sites, runs = self._local
+        if states is None:
+            states = np.arange(self.n**self.nsites)
         code = _digit_table(self.n, self.nsites, sites, states)
-        base = np.arange(self.n**self.nsites) if states is None else states
         for shift, values in runs:
-            yield base + shift[code], values[code]
+            yield states + shift[code], values[code]
 
     def sparse_matrix(self, states=None):
         """CSR matrix of the sum on the span of the sorted basis ``states``

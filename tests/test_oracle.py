@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gtoric import oracle, stabilizer
 from gtoric.catalog import (
-    build_hamiltonian, cyclic_projector, ketbra, level_projector, project, projector_action,
+    HamiltonianSpec, build_hamiltonian, cyclic_projector, ketbra, level_projector, project, projector_action,
 )
 from gtoric.lattice import Lattice
 from gtoric.oracle import (
@@ -26,7 +26,7 @@ from gtoric.oracle import (
     parse_seed_config,
     trace_product,
 )
-from gtoric.paulis import OperatorSum, PauliString
+from gtoric.paulis import OperatorSum, PauliString, PauliTable
 
 
 M1_SEED = "all=1 E=2 W=2"  # satisfies every m1 face term
@@ -79,6 +79,14 @@ class TestGroundSpace:
     def test_boundary_1x2(self):
         spec = build_hamiltonian("boundary", Lattice("open", 1, 2))
         assert ground_space_dimension(spec) == 1
+
+    def test_model_with_no_terms(self):
+        # H = 0: every one of the 2^8 states is a ground state
+        lat = Lattice("open", 1, 1)
+        table = PauliTable.from_strings(2, lat.n_sites, [])
+        spec = HamiltonianSpec("empty", lat, 2, table, np.zeros(0, dtype=np.int64), [])
+        engine = stabilizer.gsd(stabilizer.StabilizerModel.from_hamiltonian(spec))
+        assert ground_space_dimension(spec) == engine == trace_product([], lat, 2) == 256
 
     @pytest.mark.parametrize("model, spec", [("m1", ("torus", 2, 2)), ("boundary", ("open", 1, 1))])
     def test_each_term_realized_once(self, monkeypatch, model, spec):

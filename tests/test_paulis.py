@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtoric.catalog import (
-    build_hamiltonian, cyclic_projector, face_corner_string, face_projector_family, ketbra, level_projector,
-    product_of_projectors, vertex_corner_string, vertex_projector_family,
+    _projector_rows, build_hamiltonian, cyclic_projector, face_corner_string, face_projector_family, ketbra,
+    level_projector, product_of_projectors, vertex_corner_string, vertex_projector_family,
 )
 from gtoric.lattice import Lattice
 from gtoric.oracle import BudgetExceededError, trace_product
@@ -21,10 +21,12 @@ from gtoric.paulis import (
     OperatorSum,
     PauliParseError,
     PauliString,
+    _cmul,
     _roots,
     _word_places,
     apply_pauli,
     lattice_string,
+    order_divides_n,
     pauli_from_text,
     pauli_to_text,
     symplectic_phase,
@@ -121,6 +123,61 @@ class TestGroupLaws:
         for k in range(4):
             assert (p**k).key() == acc.key()
             acc = acc * p
+
+
+def reference_inverse(p):
+    """The string with exponents -x, -z whose phase cancels the residue that
+    ``p`` times the phase-0 such string leaves."""
+    bare = PauliString(p.n, -p.x, -p.z)
+    return PauliString(p.n, -p.x, -p.z, -(p * bare).phase)
+
+
+def reference_powers(p, count):
+    """``p^0, ..., p^count`` by repeated multiplication."""
+    powers = [PauliString.identity(p.n, p.nsites)]
+    for _ in range(count):
+        powers.append(powers[-1] * p)
+    return powers
+
+
+def assert_rows_are_powers(s, target, sites):
+    """Row j of ``_projector_rows(s, target, sites)`` is ``s ** j`` on the
+    sites, its coefficient ``w_n^{-target j} / n`` times the power's phase."""
+    n = s.n
+    coeffs, xz = _projector_rows(s, target, sites)
+    assert len(coeffs) == len(xz) == n
+    for j in range(n):
+        q = s**j
+        assert xz[j].tolist() == q.x[sites].tolist() + q.z[sites].tolist()
+        assert coeffs[j] == _cmul(_roots(n)[-target * j % n] / n, _roots(2 * n)[q.phase])
+
+
+class TestClosedFormPower:
+    """``p ** k`` and ``p.inverse()`` equal repeated multiplication exactly,
+    for every phase and every k in [-2n, 2n]; the phases of one parity give
+    strings of order 2n, so the range covers a full period of every string."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 9), st.integers(1, 6), st.data())
+    def test_matches_repeated_multiplication(self, n, nsites, data):
+        exps = st.lists(st.integers(0, n - 1), min_size=nsites, max_size=nsites)
+        x, z = data.draw(exps), data.draw(exps)
+        for phase in range(2 * n):
+            p = PauliString(n, x, z, phase)
+            inv = reference_inverse(p)
+            assert (p * inv).is_identity() and (inv * p).is_identity()
+            assert p.inverse() == inv
+            for k, (up, down) in enumerate(zip(reference_powers(p, 2 * n), reference_powers(inv, 2 * n))):
+                assert p**k == up
+                assert p ** -k == down
+            if order_divides_n(p):
+                assert_rows_are_powers(p, data.draw(st.integers(0, n - 1)), np.flatnonzero(p.x | p.z))
+
+    @pytest.mark.parametrize("model", ["m1", "m2", "m3exp", "mhoriz", "mvert", "mnondeg", "zn:2", "zn:3", "zn:4"])
+    def test_projector_rows_of_catalog_factors(self, model):
+        for term in build_hamiltonian(model, Lattice("torus", 2, 2)).terms:
+            for s, target in term.factors:
+                assert_rows_are_powers(s, target, np.flatnonzero(s.x | s.z))
 
 
 class TestOperatorSum:
