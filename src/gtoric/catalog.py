@@ -267,7 +267,7 @@ def face_projector_family(lat, f, n=2):
     matched = product_of_projectors(corners)
     # each holonomy projector is matched times two level projectors, merged once
     levels = [_clock(n, lat.n_sites, lat.site_index((x, y, d))) for d in "NE"]
-    sites = np.union1d(matched.support(), _support(levels))
+    sites = np.array(sorted(set(matched.support()).union(_support(levels).tolist())))
     lead = (matched.coeffs, np.hstack((matched.x[:, sites], matched.z[:, sites])))
     family = {}
     for i in range(1, n + 1):

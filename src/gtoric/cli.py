@@ -16,9 +16,8 @@ import sys
 
 import click
 import numpy as np
-import scipy.sparse as sp
 
-from . import catalog, commutation, groupoids, oracle, stabilizer
+from . import catalog, commutation, groupoids, linalg, oracle, stabilizer
 from .lattice import Lattice, MissingSiteError
 from .paulis import PauliParseError, pauli_from_text, pauli_to_text
 
@@ -168,16 +167,18 @@ def validate(model, lattice_spec, groupoid_spec, corner_checks, fmt):
 def _noncommuting_pairs(terms):
     """How many pairs of terms have a nonzero symbolic commutator.  Terms on
     disjoint sites act on different tensor factors and commute exactly, so
-    only the pairs that share a site are checked; one sparse product of the
-    term x site incidence with its transpose finds them."""
+    only the pairs that share a site are checked: the entries of the term x
+    site incidence joined with themselves on site (``linalg.key_pairs``)."""
     supports = [np.flatnonzero(np.any([s.x | s.z for s, _ in t.factors], axis=0)) for t in terms]
-    indptr = np.cumsum([0] + [len(sites) for sites in supports])
-    indices = np.concatenate(supports)
-    incidence = sp.csr_matrix((np.ones(len(indices)), indices, indptr))
-    overlap = sp.triu(incidence @ incidence.T, k=1).tocoo()
+    term = np.repeat(np.arange(len(supports)), [len(sites) for sites in supports])
+    site = np.concatenate(supports)
+    e, f = linalg.key_pairs(site, site, int(site.max(initial=-1)) + 1)
+    first, second = term[e], term[f]
+    pairs = np.sort((first * len(terms) + second)[first < second])
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # each pair once
     return sum(
         1
-        for i, j in zip(overlap.row.tolist(), overlap.col.tolist())
+        for i, j in zip(*np.divmod(pairs, len(terms)))
         if not terms[i].opsum.commutator(terms[j].opsum).is_zero(1e-10)
     )
 

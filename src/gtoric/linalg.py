@@ -6,8 +6,8 @@ the group order alone without it.
 rows with one decomposition for every n, ``smith_normal_form`` over Z_n: the
 order and the relations among the rows come from the diagonal and the left
 transform u, and membership from one product with the right transform v,
-which is held sparse, so that a test costs a product over its nonzero
-entries.  Over a prime field the Smith form is the reduced echelon form
+which is held as its nonzero entries, so that a test costs a product over
+them.  Over a prime field the Smith form is the reduced echelon form
 itself: u is the kernel's transform, the relations are its rows below the
 pivots, and the columns of v that test membership are the echelon form's
 free columns, a few percent nonzero in a catalog model's block.
@@ -28,8 +28,8 @@ valuation, a unit times p^v, as Hostens, Dehaene and De Moor (2005) do for
 Z_n; over a prime field that is one level, and both kernels return the
 unique reduced echelon form.  The Smith form splits Z_n by the Chinese
 remainder theorem into its Z_{p^k} parts, finishes each part's echelon form
-with column operations, a sparse v written from the echelon rows' nonzero
-entries, and joins the parts' transforms with the CRT idempotents.  No
+with column operations, a v written as entries from the echelon rows'
+nonzero entries, and joins the parts' transforms with the CRT idempotents.  No
 entry or product-sum leaves int64 within the ``StabilizerModel`` bound ``4 L
 n^2 < 2^63``.  ``elimination_path`` names the kernels a modulus uses.
 ``row_echelon_mod_p`` is the prime-field kernel's echelon form on its own,
@@ -42,6 +42,10 @@ Each public function takes its matrix dense or as ``Entries``, the nonzero
 entries in which a ``PauliTable`` stores a model's generators; ``_entries``
 alone turns the one form into the other, and the kernels set their packed
 bits or fields from the entries, so a large table is never made dense.
+``Entries`` is the package's one sparse form: the exponent tables, v, the
+relation checks and the dense oracle's realized terms are all entries, read
+by int64 or complex numpy gathers and reductions, and no sparse matrix
+library is imported.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ from math import gcd, prod
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 
 @functools.lru_cache(maxsize=None)
@@ -80,13 +83,39 @@ def is_prime(n):
 
 class Entries(NamedTuple):
     """A ``shape`` matrix as its nonzero entries, ``mat[row[i], col[i]] ==
-    value[i]`` and 0 elsewhere: int64 arrays ordered by row, naming no
-    ``(row, col)`` twice.  The values need not be reduced."""
+    value[i]`` and 0 elsewhere: int64 index arrays naming no ``(row, col)``
+    twice, ordered by row unless their maker says otherwise (a realized
+    operator's, ``OperatorSum.sparse_matrix``, are ordered by column).  The
+    values are int64, and need not be reduced, in exponent tables and
+    transforms, and complex in a realized operator."""
 
     shape: tuple
     row: np.ndarray
     col: np.ndarray
     value: np.ndarray
+
+    @property
+    def nnz(self):
+        return len(self.value)
+
+    def toarray(self):
+        """The dense matrix, each entry added into a zero (so a -0.0 part reads 0.0)."""
+        out = np.zeros(self.shape, dtype=self.value.dtype)
+        out[self.row, self.col] += self.value
+        return out
+
+    def padded(self):
+        """The rows as two ``(rows, w)`` arrays, w the most entries in a row:
+        each row's columns and values, filled out with column 0 and value 0,
+        so that ``mat @ vec`` is ``np.einsum("ij,ij->i", value, vec[col])``,
+        one gather.  The entries must be ordered by row."""
+        count = np.bincount(self.row, minlength=self.shape[0])
+        slot = np.arange(len(self.row)) - (np.cumsum(count) - count)[self.row]
+        col = np.zeros((self.shape[0], int(count.max(initial=0))), dtype=np.int64)
+        value = np.zeros(col.shape, dtype=self.value.dtype)
+        col[self.row, slot] = self.col
+        value[self.row, slot] = self.value
+        return col, value
 
 
 def _entries(mat):
@@ -97,6 +126,33 @@ def _entries(mat):
     mat = np.asarray(mat, dtype=np.int64)
     row, col = np.nonzero(mat)
     return Entries(mat.shape, row, col, mat[row, col])
+
+
+def key_pairs(a, b, size):
+    """Every index pair ``(i, j)`` with ``a[i] == b[j]``, for int arrays of
+    keys in ``range(size)``, ordered by i and then by j: b's indices sorted
+    by key and counted per key, and each i repeated once per j of its key.
+    It joins two sets of entries on a shared index with no matrix built."""
+    order = np.argsort(b, kind="stable")
+    count = np.bincount(b, minlength=size)
+    lo, k = (np.cumsum(count) - count)[a], count[a]
+    i = np.repeat(np.arange(len(a)), k)
+    return i, order[np.arange(len(i)) + np.repeat(lo - np.cumsum(k) + k, k)]
+
+
+def _summed(shape, row, col, value, n):
+    """``Entries`` of int64 triples, those on one ``(row, col)`` added: the
+    sums reduced mod n, zeros dropped, ordered by row and then column."""
+    if not len(value):
+        return Entries(shape, row, col, value)
+    key = row * shape[1] + col
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))  # each key's first entry
+    value = np.add.reduceat(value[order], first) % n
+    keep = value != 0
+    row, col = np.divmod(key[first][keep], shape[1])
+    return Entries(shape, row, col, value[keep])
 
 
 # -- prime fields -------------------------------------------------------------
@@ -385,8 +441,8 @@ def smith_normal_form(mat, n):
     """Smith form of mat over Z_n: returns (d, u, v) with
     ``u @ mat @ v == diag(d) (mod n)``.
 
-    u is a dense int64 array and v a sparse int64 CSR matrix, both with
-    entries in [0, n) and invertible mod n; d is a list of ``min(rows,
+    u is a dense int64 array and v an ``Entries`` of int64 values, both
+    with entries in [0, n) and invertible mod n; d is a list of ``min(rows,
     cols)`` ints, each a divisor of n (n itself for a zero), with d[i]
     dividing d[i + 1].  Each part Z_q, q = p^k exactly dividing n, is one
     elimination of ``mat mod q`` by its packed kernel (``_echelon``), whose
@@ -397,8 +453,9 @@ def smith_normal_form(mat, n):
     free columns ``e_f - sum_i ech[i, f] e_{pivot_i}``.  The parts'
     transforms, their rows scaled by units mod q so that each part gives the
     same d, are joined with the CRT idempotents e_q (1 mod q, 0 mod n / q):
-    ``u = sum e_q u_q`` and ``v = sum e_q v_q``; a prime power n is its own
-    part.  An n below 2 raises ``ValueError``.
+    ``u = sum e_q u_q`` and ``v = sum e_q v_q``, v's sum taken over the
+    parts' entries (``_summed``); a prime power n is its own part.  An n
+    below 2 raises ``ValueError``.
     """
     if n < 2:
         raise ValueError(f"Z_n needs a modulus n >= 2, got {n}")
@@ -414,29 +471,28 @@ def smith_normal_form(mat, n):
     if len(parts) == 1:  # n = q: the part's transforms are u and v, already reduced mod n
         _, _, _, u, v = parts[0]
         return d.tolist(), u, v
+    vs = []
     for p, q, level, u_q, v_q in parts:
         e = n // q * pow(n // q, -1, q)
         u_q[:size] *= (d // p**level % q)[:, None]
         u_q %= q
         u_q *= e
         u_q %= n
-        v_q.data *= e
-    # the sums build up in the first part's arrays, so no third copy of u is made
-    u, v = parts[0][3], parts[0][4]
-    for _, _, _, u_q, v_q in parts[1:]:
+        vs.append(v_q._replace(value=v_q.value * e))
+    # the sum builds up in the first part's array, so no third copy of u is made
+    u = parts[0][3]
+    for _, _, _, u_q, _ in parts[1:]:
         u += u_q
-        v = v + v_q
     u %= n
-    v.data %= n
-    v.eliminate_zeros()
+    v = _summed(vs[0].shape, *(np.concatenate(arrays) for arrays in zip(*(v_q[1:] for v_q in vs))), n)
     return d.tolist(), u, v
 
 
 def _column_transform(ech, pivots, levels, p, q):
     """The column operations that finish an echelon form over Z_q, q = p^k:
-    returns v, a sparse CSR matrix invertible mod q, with ``ech @ v ==
-    diag(p^levels)`` (mod q) in the first ``len(pivots)`` columns and zero
-    elsewhere.
+    returns v, an ``Entries`` ordered by row and invertible mod q, with
+    ``ech @ v == diag(p^levels)`` (mod q) in the first ``len(pivots)``
+    columns and zero elsewhere.
 
     Pivot row i of ech is ``p^levels[i] (e_c + b_i)`` for its pivot column c,
     where b_i vanishes on c and on the earlier pivot columns, and on the
@@ -451,38 +507,45 @@ def _column_transform(ech, pivots, levels, p, q):
     but its own, so C is zero on the first level's pivot columns, and zero
     over a prime field, where the loop is empty and X is B.  B and X are
     held as the pivot rows' nonzero entries, their columns already in v's
-    order, and a row being back-substituted reads the rows after it, X's
-    already, through one CSR matrix of those entries.  v is written from
-    them row by row, one row per column of ech: no dense cols x cols or r x
-    cols array is made.
+    order; a row being back-substituted is ``x_i - sum_c x_i[c] x_c`` over
+    its coupled columns c, whose rows come after it and are X's already,
+    its entries summed per column by ``_summed``.  v is written from them:
+    no dense cols x cols or r x cols array is made.
     """
     cols = ech.shape[1]
     r = len(pivots)
-    pivots = np.array(pivots, dtype=np.intp)
+    pivots = np.array(pivots, dtype=np.int64)
     free = np.ones(cols, dtype=bool)
     free[pivots] = False
     free = np.flatnonzero(free)
-    where = np.empty(cols, dtype=np.intp)  # v's column of each of ech's
+    where = np.empty(cols, dtype=np.int64)  # v's column of each of ech's
     where[pivots], where[free] = np.arange(r), np.arange(r, cols)
     flat = np.flatnonzero(ech[:r] != 0)
     row, col = np.divmod(flat, cols)
     value = ech[:r].reshape(-1)[flat] // p ** np.array(levels, dtype=np.int64)[row]
     col = where[col]
-    for i in np.unique(row[(col < r) & (col != row)])[::-1]:
-        off = col != row  # a row's own pivot entry, 1 after the division, is I's
-        x = sp.csr_matrix((value[off], (row[off], col[off])), shape=(r, cols))  # its rows after i are X's
-        new = x[i] - x[i, :r] @ x
-        new.data %= q
-        new.eliminate_zeros()
-        keep = (row != i) | ~off
-        row, col = np.concatenate((row[keep], np.full(new.nnz, i))), np.concatenate((col[keep], new.indices))
-        value = np.concatenate((value[keep], new.data))
-    # v's row pivots[i] is row i of X, negated, with its pivot's 1, and its row free[j] is 1 at r + j
-    at = np.concatenate((pivots[row], free))
+    off = col != row  # a row's own pivot entry, 1 after the division, is I's
+    row, col, value = row[off], col[off], value[off]
+    coupled = np.flatnonzero(np.bincount(row[col < r], minlength=r))[::-1]
+    if len(coupled):
+        bounds = np.searchsorted(row, np.arange(r + 1))  # row-major, from flatnonzero
+        x = [(col[a:b], value[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]  # B's rows, then X's
+        for i in coupled.tolist():
+            c, w = x[i]
+            on = np.flatnonzero(c < r)
+            terms = [(x[k][0], -a * x[k][1]) for k, a in zip(c[on].tolist(), w[on].tolist())]
+            cs, ws = (np.concatenate(parts) for parts in zip((c, w), *terms))
+            new = _summed((1, cols), np.zeros_like(cs), cs, ws, q)
+            x[i] = (new.col, new.value)
+        row = np.repeat(np.arange(r), [len(c) for c, _ in x])
+        col, value = (np.concatenate(parts) for parts in zip(*x))
+    # v's row pivots[i] is row i of X, negated, with its pivot's 1 at column
+    # i, and its row free[j] is 1 at column r + j
+    at = np.concatenate((pivots[row], pivots, free))
     sort = np.argsort(at, kind="stable")
-    data = np.concatenate((np.where(col == row, 1, -value % q), np.ones(cols - r, dtype=np.int64)))[sort]
-    indices = np.concatenate((col, np.arange(r, cols)))[sort]
-    return sp.csr_matrix((data, indices, np.searchsorted(at[sort], np.arange(cols + 1))), shape=(cols, cols))
+    col = np.concatenate((col, np.arange(cols)))[sort]
+    value = np.concatenate((-value % q, np.ones(cols, dtype=np.int64)))[sort]
+    return Entries((cols, cols), at[sort], col, value)
 
 
 # -- the group generated by the rows of a matrix over Z_n -----------------------
@@ -497,8 +560,8 @@ class RowGroup:
     product is its order.  ``relations`` is a ``(k, rows)`` array whose rows
     generate ``{j : j @ mat == 0 (mod n)}`` mod n.  ``contains(vec)`` tells
     whether vec is a Z_n-combination of the rows; ``row_group``'s holds the
-    Smith form's sparse right transform and tests in time linear in its
-    nonzero entries.
+    tested rows of the Smith form's right transform, transposed, as entries,
+    and tests in time linear in their count.
     """
 
     n: int
@@ -528,11 +591,15 @@ def row_group(mat, n):
     vec`` whose g is not 1 is divisible by that g.  The g_i equal to 1 lead
     the chain, so those rows and entries are a prefix, skipped.  Over a
     prime field the relations are the kernel's ``t[r:]`` and the tested
-    columns of v the free columns of the reduced echelon form.  Membership
-    is one product with the sparse v's transpose, over its nonzero entries,
-    exact in int64, since every entry and vec's residues are below n and a
-    product-sum has at most ``cols`` terms, within the ``4 L n^2 < 2^63``
-    bound; no dense basis or v is kept."""
+    columns of v the free columns of the reduced echelon form.  Only v^T's
+    tested rows, v's columns past that prefix, are kept, as entries ordered
+    by v^T row; each has an entry, since v is invertible, so membership is
+    one gather of vec's residues, one product with the values (none when
+    every value is 1, as over GF(2)) and one ``np.add.reduceat`` over the
+    rows.  It is exact in int64, since every
+    entry and vec's residues are below n and a row sum has at most ``cols``
+    terms, within the ``4 L n^2 < 2^63`` bound; no dense basis or v is
+    kept."""
     mat = _entries(mat)
     rows, cols = mat.shape
     d, u, v = smith_normal_form(mat, n)
@@ -540,10 +607,20 @@ def row_group(mat, n):
     ones = int(np.count_nonzero(g == 1))  # rows that are no relation, and entries that test nothing
     relations = u[ones:] * (n // g[ones:rows])[:, None]
     relations %= n
-    vt, g_kept = v.T, g[ones:cols]
+    tested = np.flatnonzero(v.col >= ones)
+    tested = tested[np.argsort(v.col[tested], kind="stable")]
+    at, value = v.row[tested], v.value[tested]
+    starts = np.searchsorted(v.col[tested], np.arange(ones, cols))
+    g_kept = g[ones:cols]
+    value = None if (value == 1).all() else value  # over GF(2) every entry is 1
 
     def contains(vec):
-        return not np.any((vt @ (np.asarray(vec, dtype=np.int64) % n))[ones:] % g_kept)
+        if not len(starts):
+            return True
+        terms = (np.asarray(vec, dtype=np.int64) % n).take(at)
+        if value is not None:
+            terms *= value
+        return not np.any(np.add.reduceat(terms, starts) % g_kept)
 
     return RowGroup(n, tuple((n // g[g != n]).tolist()), relations, contains)
 

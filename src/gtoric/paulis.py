@@ -21,11 +21,12 @@ parts carry the usual round-off.
 
 Realizations read the basis digits of the states they act on in one way,
 :func:`_digit_table` over given state indices; a full-basis realization
-passes every index.  The memory budget lives here, as the lowest module that
-allocates against it: ``budget()`` caps basis amplitudes and sparse
-nonzeros (the environment variable ``GTORIC_BUDGET`` overrides the default
-of 2**24), and :mod:`gtoric.oracle` and :mod:`gtoric.catalog` check against
-it through this module.
+passes every index.  A realized sum is ``linalg.Entries`` with complex
+values, the package's one sparse form.  The memory budget lives here, as
+the lowest module that allocates against it: ``budget()`` caps basis
+amplitudes and stored nonzeros (the environment variable ``GTORIC_BUDGET``
+overrides the default of 2**24), and :mod:`gtoric.oracle` and
+:mod:`gtoric.catalog` check against it through this module.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import os
 import re
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import linalg
 
@@ -270,7 +270,7 @@ class PauliTable:
         return (self.phase + (self.n - 1) % 2 * (xz % 2)) % 2 == 0
 
 
-# -- dense / sparse realization and state application ------------------------
+# -- dense and entries realization, and state application --------------------
 
 
 def _digit_table(n, nsites, sites, states):
@@ -659,28 +659,30 @@ class OperatorSum:
             yield states + shift[code], values[code]
 
     def sparse_matrix(self, states=None):
-        """CSR matrix of the sum on the span of the sorted basis ``states``
-        (all of them by default), built in one pass: the nonzero entries of
-        the runs of ``_columns()`` are stacked column by column as CSC
-        arrays, and each row is then mapped to its position in ``states``.
-        A nonzero entry in a row outside ``states`` raises AssertionError:
-        the states must span a space that the sum maps into itself."""
+        """The sum on the span of the sorted basis ``states`` (all of them by
+        default) as ``linalg.Entries`` with complex values, built in one
+        pass: the nonzero entries of the runs of ``_columns()`` are stacked
+        column by column, so the entries are ordered by column and, within
+        one, by run, at most one per run; each row is then mapped to its
+        position in ``states``.  A nonzero entry in a row outside ``states``
+        raises AssertionError: the states must span a space that the sum
+        maps into itself."""
         dim = self.n**self.nsites if states is None else len(states)
         _check_nonzeros(dim * len(self.coeffs))
         groups = list(self._columns(states))
         if not groups:
-            return sp.csr_matrix((dim, dim), dtype=complex)
+            none = np.zeros(0, dtype=np.int64)
+            return linalg.Entries((dim, dim), none, none, np.zeros(0, dtype=complex))
         rows, vals = (np.stack(arrays, axis=1) for arrays in zip(*groups))
         keep = vals != 0
-        indptr = np.zeros(dim + 1, dtype=np.int64)
-        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+        cols = np.repeat(np.arange(dim), np.count_nonzero(keep, axis=1))
         rows, vals = rows[keep], vals[keep]
         if states is not None:
             pos = np.minimum(np.searchsorted(states, rows), dim - 1)
             if not np.array_equal(states[pos], rows):
                 raise AssertionError("a nonzero entry leaves the given states")
             rows = pos
-        return sp.csc_matrix((vals, rows, indptr), shape=(dim, dim)).tocsr()
+        return linalg.Entries((dim, dim), rows, cols, vals)
 
     def dense_matrix(self):
         """Dense matrix of the sum; its n^(2 nsites) entries count against

@@ -27,17 +27,18 @@ per prime-power part on rows packed into Python ints, joined by the CRT)
 into its group order, the relations among its generators and a membership
 test, shared with target-flipped copies, and from then on each consistency
 verdict is one product with the relations and each membership read one
-product with the Smith form's sparse right transform, whose tested columns
-over a prime field are the echelon form's free columns.  The route is
-chosen by whether the relations exist.  Each count logs its
+product with the entries of the Smith form's right transform, whose tested
+columns over a prime field are the echelon form's free columns.  The route
+is chosen by whether the relations exist.  Each count logs its
 blocks, the kernel that eliminated them (``linalg.elimination_path``), the
 route of each block's consistency verdict and the seconds of each stage as
 one DEBUG record on the ``gtoric.stabilizer`` logger, silent by default.
-Syndromes, classification and the logical basis read one sparse ``[X|Z]``
-table, written from the table's nonzero entries on first use; an error's
-eigenvalue shifts are one product ``(Z x_e - X z_e) mod n``.  All of it is
-exact in int64 for the n a model admits (see ``StabilizerModel``); a larger
-n is refused, not rounded.
+Syndromes, classification and the logical basis read one ``[X|Z]`` table
+of ``linalg.Entries``, written from the table's nonzero entries on first
+use; an error's eigenvalue shifts ``(Z x_e - X z_e) mod n`` are one gather
+of the table's rows, padded to equal length, and so are the terms an error
+violates.  All of it is exact in int64 for the n a model admits (see
+``StabilizerModel``); a larger n is refused, not rounded.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import linalg
 from .paulis import PauliString, PauliTable, lattice_string
@@ -97,9 +97,9 @@ class _Blocks:
 
 @dataclass(frozen=True)
 class _Split:
-    """The relation route: each block decomposed once.  ``xz[i]`` is the CSR
-    matrix of the ``x_i.z_j`` (mod n) within block i when it is not pure,
-    and None in a pure block, where every one is zero."""
+    """The relation route: each block decomposed once.  ``xz[i]`` holds the
+    ``x_i.z_j`` (mod n) within block i as ``linalg.Entries`` when it is not
+    pure, and is None in a pure block, where every one is zero."""
 
     groups: tuple  # of linalg.RowGroup, one per block
     xz: tuple
@@ -174,18 +174,22 @@ class StabilizerModel:
 
     @cached_property
     def exponent_table(self):
-        """``[X|Z]`` as one CSR matrix: every query reads the generators here."""
-        gen, col, exp = self.table.entries()
-        g = len(self.table)
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(gen, minlength=g))))
-        return sp.csr_matrix((exp, col, indptr), shape=(g, 2 * self.nsites))
+        """``[X|Z]`` as one ``linalg.Entries``: every query reads the generators here."""
+        return linalg.Entries((len(self.table), 2 * self.nsites), *self.table.entries())
 
     @cached_property
     def term_incidence(self):
-        """Sparse term-by-generator matrix, 1 where the generator is a factor of the term."""
-        idx = np.array([i for members in self.term_members for i in members], dtype=np.int64)
-        ptr = np.cumsum([0] + [len(members) for members in self.term_members])
-        return sp.csr_matrix((np.ones(ptr[-1]), idx, ptr), shape=(len(ptr) - 1, len(self.table)))
+        """Term-by-generator ``linalg.Entries``, 1 where the generator is a factor of the term."""
+        sizes = [len(members) for members in self.term_members]
+        gens = np.array([i for members in self.term_members for i in members], dtype=np.int64)
+        terms = np.repeat(np.arange(len(sizes)), sizes)
+        return linalg.Entries((len(sizes), len(self.table)), terms, gens, np.ones(len(gens), dtype=np.int64))
+
+    @cached_property
+    def _padded(self):
+        """``exponent_table`` and ``term_incidence`` as padded rows
+        (``linalg.Entries.padded``), which each query reads with one gather."""
+        return self.exponent_table.padded(), self.term_incidence.padded()
 
     def check_commuting(self):
         """Raise unless ``X Z^T - Z X^T == 0 (mod n)`` for the generators'
@@ -218,8 +222,7 @@ class StabilizerModel:
                 Block("Z", t.z_gens, slice(self.nsites, None), t.z),
             )
         else:
-            whole = linalg.Entries((len(t), 2 * self.nsites), *t.entries())
-            blocks = (Block("XZ", np.arange(len(t)), slice(None), whole),)
+            blocks = (Block("XZ", np.arange(len(t)), slice(None), self.exponent_table),)
         tabled = time.perf_counter()
         self.check_commuting()
         seconds = {"table": tabled - start, "check": time.perf_counter() - tabled}
@@ -229,20 +232,20 @@ class StabilizerModel:
     def _split(self):
         """The relation route: each block decomposed once by
         ``linalg.row_group`` into its group order, the relations among its
-        generators, which are checked against the block's rows as CSR
-        matrices built from its entries, and a membership test.  The targets
-        do not enter, so target-flipped copies share it."""
+        generators, which are checked against the block's entries, and a
+        membership test; a table that is not CSS also gets its ``x_i.z_j``
+        (mod n), summed from the sites where generator i's x entries meet
+        generator j's z entries.  The targets do not enter, so
+        target-flipped copies share it."""
         start = time.perf_counter()
         groups, products = [], []
         for b in self._blocks.blocks:
             group = linalg.row_group(b.mat, self.n)
-            rows = sp.csr_matrix((b.mat.value, (b.mat.row, b.mat.col)), shape=b.mat.shape)
-            parts = [rows] if self.table.css else [rows[:, : self.nsites], rows[:, self.nsites :]]
-            _check_relations(group.relations, parts, self.n)
+            _check_relations(group.relations, b.mat, self.n)
             xz = None
-            if len(parts) == 2:
-                xz = (parts[0] @ parts[1].T).tocsr()
-                xz.data %= self.n
+            if not self.table.css:
+                g = len(self.table)
+                xz = linalg._summed((g, g), *_meetings(self.table, self.nsites), self.n)
             groups.append(group)
             products.append(xz)
         return _Split(tuple(groups), tuple(products), time.perf_counter() - start)
@@ -305,30 +308,31 @@ class StabilizerModel:
         return flipped
 
 
+def _meetings(table, nsites):
+    """Every site where an x entry of generator i meets a z entry of
+    generator j, as arrays ``(i, j, x exponent times z exponent)``, each
+    product below n^2: the table's x and z entries joined on site
+    (``linalg.key_pairs``)."""
+    (xg, xs, xv), (zg, zs, zv) = table.part_entries
+    e, f = linalg.key_pairs(xs, zs, nsites)
+    return xg[e], zg[f], xv[e] * zv[f]
+
+
 def _clashing_pair(table, nsites, n):
     """The least pair (i, j), i < j, of the table's generators that do not
     commute, or None when ``X Z^T - Z X^T == 0 (mod n)``.
 
     Every nonzero x_i.z_j is a sum over the sites where an x entry of
-    generator i meets a z entry of generator j, so the table's x and z
-    entries are joined on site: the z entries sorted by site and counted
-    per site, each x entry repeated once per z entry on its site, and the
-    products summed per pair.  x_i.z_j and x_j.z_i go to one pair (min,
-    max) with opposite signs, so a table that is not CSS is checked the
-    same way; in a CSS table no pair meets its transpose, since two pure
-    rows of one kind commute.  No matrix is built."""
+    generator i meets a z entry of generator j (``_meetings``), summed per
+    pair.  x_i.z_j and x_j.z_i go to one pair (min, max) with opposite
+    signs, so a table that is not CSS is checked the same way; in a CSS
+    table no pair meets its transpose, since two pure rows of one kind
+    commute.  No matrix is built."""
     g = len(table)
-    (xg, xs, xv), (zg, zs, zv) = table.part_entries
-    order = np.argsort(zs, kind="stable")
-    zg, zv = zg[order], zv[order]
-    on_site = np.bincount(zs, minlength=nsites)  # z entries per site
-    lo, count = (np.cumsum(on_site) - on_site)[xs], on_site[xs]
-    xe = np.repeat(np.arange(len(xs)), count)  # the x entry and the z entry of each product
-    if not len(xe):
+    i, j, value = _meetings(table, nsites)
+    if not len(i):
         return None
-    ze = np.arange(len(xe)) + np.repeat(lo - np.cumsum(count) + count, count)
-    i, j = xg[xe], zg[ze]
-    value = xv[xe] * zv[ze] * np.sign(j - i)  # each below n^2, as StabilizerModel bounds
+    value = value * np.sign(j - i)
     pair = np.minimum(i, j) * g + np.maximum(i, j)
     order = np.argsort(pair, kind="stable")
     pair, value = pair[order], value[order]
@@ -349,13 +353,23 @@ def _contains(m, vec):
     return all(g.contains(vec[b.cols]) for b, g in zip(m._blocks.blocks, m._split.groups))
 
 
-def _check_relations(relations, parts, n):
-    """Raise unless every relation row annihilates the block's exponent
-    parts mod n.  Rows go a chunk at a time, which bounds the dense product
-    and the copy that a dense-by-sparse product makes."""
-    for start in range(0, len(relations), 1024):
-        chunk = relations[start : start + 1024]
-        if any(((chunk @ part) % n).any() for part in parts):
+def _check_relations(relations, mat, n):
+    """Raise unless every relation row annihilates the block's exponents mod
+    n: ``relations @ mat`` for mat's ``linalg.Entries``, taken in column
+    order, is one gather of the relations' columns at the entries' rows,
+    one product with their values and one ``np.add.reduceat`` over each
+    column's entries, the columns without an entry being zero.  Rows go a
+    chunk at a time, each temporary holding at most 1024 x cols products,
+    the size of the dense product that 1024-row chunks formed before."""
+    order = np.argsort(mat.col, kind="stable")
+    row, col, value = mat.row[order], mat.col[order], mat.value[order]
+    if not len(value):
+        return
+    starts = np.flatnonzero(np.concatenate(([True], col[1:] != col[:-1])))
+    step = max(1, 1024 * mat.shape[1] // len(value))
+    for start in range(0, len(relations), step):
+        chunk = relations[start : start + step]
+        if (np.add.reduceat(chunk[:, row] * value, starts, axis=1) % n).any():
             raise AssertionError("relation vector is not actually a relation")
 
 
@@ -384,8 +398,17 @@ def phase_consistent(m):
         rel = group.relations  # reduced mod n by row_group
         phase = rel @ c[b.gens]
         if xz is not None:
-            cross = ((sp.tril(xz, k=-1) @ rel.T).T % n * rel).sum(axis=1)  # sum_{i<j} r_i r_j x_j.z_i
-            doubled = ((rel * (rel - 1) // 2) % n @ xz.diagonal() + cross) % n
+            diagonal = np.zeros(len(b.gens), dtype=np.int64)
+            on = xz.row == xz.col
+            diagonal[xz.row[on]] = xz.value[on]
+            # sum_{i<j} r_i r_j x_j.z_i: per j, its inner sum over i < j mod n
+            low = xz.row > xz.col
+            j, i, value = xz.row[low], xz.col[low], xz.value[low]  # ordered by j
+            inner = np.zeros(rel.shape, dtype=np.int64)
+            if len(j):
+                first = np.flatnonzero(np.concatenate(([True], j[1:] != j[:-1])))
+                inner[:, j[first]] = np.add.reduceat(rel[:, i] * value, first, axis=1) % n
+            doubled = ((rel * (rel - 1) // 2) % n @ diagonal + (inner * rel).sum(axis=1)) % n
             phase = phase + 2 * doubled
         if (phase % (2 * n)).any():
             return False
@@ -464,9 +487,17 @@ def _exponents(m, *strings):
 
 
 def _form(rows, v, n):
-    """Exponents c_i with ``u_i v = w_n^{c_i} v u_i`` for ``[x|z]`` rows u_i and a vector v."""
+    """Exponents c_i with ``u_i v = w_n^{c_i} v u_i`` for dense ``[x|z]`` rows u_i and a vector v."""
     half = len(v) // 2
     return (rows @ np.concatenate((-v[half:], v[:half]))) % n
+
+
+def _flips(m, v):
+    """``_form`` of the model's generators: one gather of the padded
+    ``exponent_table`` rows."""
+    (col, exp), _ = m._padded
+    half = len(v) // 2
+    return np.einsum("ij,ij->i", exp, np.concatenate((-v[half:], v[:half]))[col]) % m.n
 
 
 def logical_basis(m):
@@ -479,9 +510,9 @@ def logical_basis(m):
     if not linalg.is_prime(n):
         raise NotImplementedError("logical basis extraction needs a prime dimension")
     k = logical_qudit_count(m)
-    x, z = m.exponent_table[:, : m.nsites], m.exponent_table[:, m.nsites :]
+    xz = m.exponent_matrix()
     # centralizer: vectors v with (x|z) . J . gens^T == 0
-    cands = linalg.row_group(sp.hstack([z, -x]).T.toarray() % n, n).relations
+    cands = linalg.row_group(np.hstack((xz[:, m.nsites :], -xz[:, : m.nsites])).T % n, n).relations
     pairs = []
     while len(cands):
         u, cands = cands[0], cands[1:]
@@ -508,8 +539,10 @@ class Syndrome:
 def syndrome(m, error):
     """Eigenvalue shifts caused by a Pauli error; energy counts violated
     TERMS (a term is violated when any of its factors shifts)."""
-    flips = _form(m.exponent_table, *_exponents(m, error), m.n)
-    violated = [m.term_info[t] for t in np.flatnonzero(m.term_incidence @ (flips != 0))]
+    flips = _flips(m, *_exponents(m, error))
+    _, (gens, ones) = m._padded
+    # flips lie in [0, n), so a term's sum of its factors' flips is 0 only when each is
+    violated = [m.term_info[t] for t in np.flatnonzero(np.einsum("ij,ij->i", ones, flips[gens]))]
     return Syndrome(flips=flips.tolist(), violated=violated, energy=len(violated))
 
 
@@ -522,7 +555,7 @@ def is_logical(m, p):
     """Classify a Pauli string: 'detectable' (nonzero syndrome),
     'stabilizer' (in the generated group) or 'logical'."""
     (vec,) = _exponents(m, p)  # built once, for the syndrome and the membership test
-    if _form(m.exponent_table, vec, m.n).any():
+    if _flips(m, vec).any():
         return "detectable"
     return "stabilizer" if _contains(m, vec) else "logical"
 
@@ -530,7 +563,7 @@ def is_logical(m, p):
 def logically_equivalent(m, p, q):
     """Whether two undetectable strings differ by a stabilizer element."""
     diff = np.subtract(*_exponents(m, p, q)) % m.n  # p q^-1 up to phase
-    return not _form(m.exponent_table, diff, m.n).any() and _contains(m, diff)
+    return not _flips(m, diff).any() and _contains(m, diff)
 
 
 # -- string and loop operators -------------------------------------------------

@@ -1,9 +1,14 @@
 """The package's import graph, read from the source with ``ast``: every
 import of a ``gtoric`` module sits at module level, the graph of those
 imports is acyclic, and ``paulis`` stays below the modules that use it.
-Third-party imports are not restricted."""
+No module imports scipy, and a fresh interpreter that imports the package
+and its CLI and runs a dense count and a membership read never loads
+``scipy.sparse``; other third-party imports are not restricted."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,3 +76,40 @@ def test_acyclic(graph):
 
 def test_paulis_below_its_users(graph):
     assert reachable(graph, "paulis").isdisjoint({"oracle", "catalog", "stabilizer"})
+
+
+def test_no_module_imports_scipy():
+    found = []
+    for m in MODULES:
+        for node in ast.walk(ast.parse((SOURCE / f"{m}.py").read_text())):  # function bodies included
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(m, name) for name in names if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
+# a dense oracle count on m1 torus:2x2 and one membership read, after the
+# package and its CLI are imported; prints the scipy.sparse modules loaded
+WITHOUT_SCIPY_SPARSE = """
+import sys
+import gtoric, gtoric.cli
+from gtoric import catalog, oracle, stabilizer
+from gtoric.lattice import Lattice
+h = catalog.build_hamiltonian("m1", Lattice("torus", 2, 2))
+assert oracle.ground_space_dimension(h) == 32
+sm = stabilizer.StabilizerModel.from_hamiltonian(h)
+assert stabilizer.is_logical(sm, sm.generators[0][0]) == "stabilizer"
+print(sorted(m for m in sys.modules if m == "scipy.sparse" or m.startswith("scipy.sparse.")))
+"""
+
+
+def test_runs_without_scipy_sparse():
+    path = os.pathsep.join(filter(None, [str(SOURCE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY_SPARSE], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -5,7 +5,6 @@ from math import gcd
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -448,14 +447,18 @@ class TestSmithOverZn:
         n, mat = data
         rows, cols = mat.shape
         d, u, v = smith_normal_form(mat, n)
-        assert u.dtype == v.dtype == np.int64 and sp.issparse(v)
+        assert isinstance(v, Entries) and u.dtype == v.value.dtype == np.int64
         assert u.shape == (rows, rows) and v.shape == (cols, cols)
+        # v's entries: ordered by row, each (row, col) once, reduced and nonzero
+        assert np.all(np.diff(v.row) >= 0) and len(np.unique(v.row * cols + v.col)) == v.nnz
+        assert np.all((0 < v.value) & (v.value < n))
+        v = v.toarray()
         diag = np.zeros((rows, cols), dtype=np.int64)
         diag[np.arange(len(d)), np.arange(len(d))] = d
         assert len(d) == min(rows, cols)
         assert np.array_equal((u @ mat @ v) % n, diag % n)
         assert gcd(integer_det(u), n) == 1
-        assert gcd(integer_det(v.toarray()), n) == 1
+        assert gcd(integer_det(v), n) == 1
         assert all(n % di == 0 for di in d)
         assert all(b % a == 0 for a, b in zip(d, d[1:]))
 
@@ -671,7 +674,7 @@ def reference_dense_contains(mat, n):
         return contains
     d, _, v = smith_normal_form(mat, n)
     g_cols = np.array(d + [n] * (max(rows, cols) - len(d)), dtype=np.int64)[:cols]
-    v_kept, g_kept = v[:, g_cols != 1], g_cols[g_cols != 1]
+    v_kept, g_kept = v.toarray()[:, g_cols != 1], g_cols[g_cols != 1]
 
     def contains(vec):
         return not np.any((np.asarray(vec, dtype=np.int64) % n @ v_kept) % g_kept)
@@ -747,6 +750,6 @@ class TestEntriesParity:
             for a, b in zip(row_echelon_mod_p(mat, p), row_echelon_mod_p(entries, p), strict=True):
                 assert np.array_equal(a, b)
         for a, b in zip(smith_normal_form(mat, n), smith_normal_form(entries, n), strict=True):
-            if sp.issparse(a):  # v
+            if isinstance(a, Entries):  # v
                 a, b = a.toarray(), b.toarray()
             assert np.array_equal(a, b)

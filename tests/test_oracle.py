@@ -6,7 +6,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gtoric import oracle, stabilizer
@@ -117,7 +117,7 @@ class TestExactZeros:
         spec = build_hamiltonian(model, Lattice("torus", 2, 2))
         mats = [t.opsum.sparse_matrix() for t in spec.terms]
         assert sum(m.nnz for m in mats) == nnz
-        assert min(np.abs(m.data).min() for m in mats) >= 1e-12
+        assert min(np.abs(m.value).min() for m in mats) >= 1e-12
 
     def test_product_stays_sparse(self, monkeypatch):
         spec = build_hamiltonian("m1", Lattice("torus", 2, 2))
@@ -349,6 +349,104 @@ class TestSectorTrace:
         assert x0.sparse_matrix(np.array([0, 2])).nnz == 2
         with pytest.raises(AssertionError):
             x0.sparse_matrix(np.array([0, 1]))
+
+
+@st.composite
+def unequal_block_lists(draw):
+    """Factor lists with a one-site |i><j|, i != j, for n of 3 or 4: it
+    pairs the i and j levels of its site, which leaves the other levels'
+    states out of those pairs, so the blocks need not share one size."""
+    n = draw(st.sampled_from([3, 4]))
+    nsites = draw(st.integers(2, 3))
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    ops = [sector_factor(draw, n, nsites) for _ in range(draw(st.integers(0, 4)))]
+    ops.insert(draw(st.integers(0, len(ops))), ketbra(n, nsites, draw(st.integers(0, nsites - 1)), i, j))
+    return ops
+
+
+def realized(ops):
+    """The ops' sector, their realized matrices and the sector's blocks."""
+    states = oracle._sector(ops)
+    size = ops[0].n ** ops[0].nsites if states is None else len(states)
+    mats = [op.sparse_matrix(states) for op in ops]
+    return states, mats, oracle._Blocks(mats, size)
+
+
+def component_of(blocks):
+    """Per sector position, a label shared by exactly its block's positions."""
+    label = np.full(blocks.size, -1)
+    start = 0
+    for index in blocks.index:
+        label[index] = start + np.arange(len(index))[:, None]
+        start += len(index)
+    return label
+
+
+class TestBlocks:
+    """The running product held as stacks of dense blocks, one block per
+    connected component of the terms' realized off-diagonal entries."""
+
+    CASES = [("m1", ("torus", 2, 2)), ("mnondeg", ("torus", 2, 2)), ("boundary", ("open", 1, 2))]
+
+    @pytest.mark.parametrize("model, spec", CASES)
+    def test_blocks_partition_the_sector(self, model, spec):
+        _, _, blocks = realized([t.opsum for t in build_hamiltonian(model, Lattice(*spec)).terms])
+        positions = np.concatenate([index.ravel() for index in blocks.index])
+        assert np.array_equal(np.sort(positions), np.arange(blocks.size))
+        for index in blocks.index:
+            assert np.all(np.diff(index, axis=1) > 0)  # each block's positions in increasing order
+            assert np.array_equal(blocks.local[index], np.broadcast_to(np.arange(index.shape[1]), index.shape))
+        assert [index.shape[1] for index in blocks.index] == sorted({index.shape[1] for index in blocks.index})
+
+    @pytest.mark.parametrize("model, spec", CASES)
+    def test_every_entry_inside_one_block(self, model, spec):
+        _, mats, blocks = realized([t.opsum for t in build_hamiltonian(model, Lattice(*spec)).terms])
+        label = component_of(blocks)
+        assert (label >= 0).all()
+        for mat in mats:
+            assert np.array_equal(label[mat.row], label[mat.col])
+
+    @settings(max_examples=150, deadline=None)
+    @given(unequal_block_lists())
+    def test_unequal_blocks_match_the_dense_product(self, ops):
+        states, mats, blocks = realized(ops)
+        assume(len(blocks.index) > 1)  # blocks of unequal sizes
+        label = component_of(blocks)
+        for mat in mats:
+            assert np.array_equal(label[mat.row], label[mat.col])
+        dim = ops[0].n ** ops[0].nsites
+        product, tr = oracle._product_trace(ops, dim)
+        dense = reduce(operator.matmul, (op.dense_matrix() for op in ops))
+        assert tr == pytest.approx(np.trace(dense), abs=1e-9)
+        # the blocks hold the dense product on the sector, and nothing else
+        held = np.zeros((blocks.size, blocks.size), dtype=complex)
+        for stack, index in zip(product.stacks, product.blocks.index):
+            for block, at in zip(stack, index):
+                held[np.ix_(at, at)] = block.T
+        on = slice(None) if states is None else np.ix_(states, states)
+        np.testing.assert_allclose(held, dense[on], atol=1e-9)
+        vec = np.arange(blocks.size) + 1j
+        np.testing.assert_allclose(product.apply(vec), held @ vec, atol=1e-9)
+
+    def test_budget_counts_per_factor(self, monkeypatch):
+        # the counts that the sparse product took before each factor on m1
+        # torus:2x2: the sector size, then the running product's nonzeros,
+        # each times the factor's term count
+        spec = build_hamiltonian("m1", Lattice("torus", 2, 2))
+        counts = []
+        monkeypatch.setattr(oracle, "_check_nonzeros", counts.append)
+        product, _ = oracle._product_trace([t.opsum for t in spec.terms], 2**spec.lattice.n_sites)
+        assert counts == [2048, 4096, 8192, 16384, 16384, 16384, 16384, 16384]
+        assert product.nnz == 8192 == sum(np.count_nonzero(stack) for stack in product.stacks)
+
+    def test_stacks_within_the_budget(self, monkeypatch):
+        # m1 torus:2x2 stacks 8,192 numbers, the product's final nonzeros
+        ops = [t.opsum for t in build_hamiltonian("m1", Lattice("torus", 2, 2)).terms]
+        _, mats, blocks = realized(ops)
+        assert sum(index.size * index.shape[1] for index in blocks.index) == 8192
+        monkeypatch.setenv("GTORIC_BUDGET", "8191")
+        with pytest.raises(BudgetExceededError):
+            oracle._Blocks(mats, blocks.size)
 
 
 class TestLogging:

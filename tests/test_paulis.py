@@ -355,7 +355,7 @@ class TestRealization:
         sums.append(OperatorSum([(1.0, PauliString.identity(n, p.nsites)), (-1.0, z_only)]))
         for s in sums:
             mat = s.sparse_matrix()
-            assert mat.nnz == np.count_nonzero(mat.data)
+            assert mat.nnz == np.count_nonzero(mat.value)
             assert np.allclose(mat.toarray(), sum(c * kron_reference(r) for c, r in s.terms))
 
     @settings(max_examples=80, deadline=None)
@@ -364,7 +364,7 @@ class TestRealization:
         # for n | 4 the roots are exact, so the cancelled entries are exact zeros
         s, target = case
         mat = cyclic_projector(s, target).sparse_matrix()
-        assert np.all(np.abs(mat.data) >= 1e-12)
+        assert np.all(np.abs(mat.value) >= 1e-12)
         expected = sum(
             np.exp(-2j * np.pi * target * j / s.n) / s.n * kron_reference(s**j)
             for j in range(s.n)

@@ -958,7 +958,7 @@ class TestMembershipReads:
     def product(self, sm, rng):
         n = sm.n
         coeffs = rng.integers(0, n, len(sm.table)) * (rng.random(len(sm.table)) < 0.1)
-        xz = coeffs @ sm.exponent_table % n
+        xz = coeffs @ sm.exponent_table.toarray() % n
         return xz[: sm.nsites], xz[sm.nsites :]
 
     def test_classes(self, model_16):
